@@ -50,7 +50,11 @@ from ..faults import fault_site
 from ..telemetry import MetricsRegistry, tracepoint
 
 MAGIC = b"RPCK"
-FORMAT_VERSION = 1
+#: Bumped whenever a pickled payload changes shape, so an older file is
+#: refused as version skew instead of resuming into a mismatched state.
+#: 2: ``NetworkBufferPool.transient`` is a dict and workload expiries
+#: are plain tuples.
+FORMAT_VERSION = 2
 
 #: magic + version + header length: the minimum parseable file.
 _PREFIX_LEN = 12

@@ -49,7 +49,10 @@ class NetworkBufferPool:
         self.kernel = kernel
         self.config = config or NetworkQueueConfig()
         self.rings: list[PageHandle] = []
-        self.transient: list[PageHandle] = []
+        #: Live transient buffers in allocation order.  A dict (values
+        #: unused) rather than a list so release is O(1); handles hash
+        #: by identity, so this is the same membership.
+        self.transient: dict[PageHandle, None] = {}
 
     def bring_up(self) -> None:
         """Allocate the persistent per-queue rings (driver initialisation)."""
@@ -94,17 +97,26 @@ class NetworkBufferPool:
                 source=AllocSource.NETWORKING,
                 migratetype=MigrateType.UNMOVABLE,
             )
-        self.transient.append(handle)
+        self.transient[handle] = None
         if _tp_alloc.enabled:
             _tp_alloc.emit(pfn=handle.pfn, order=order, pinned=pinned)
         return handle
 
     def free_buffer(self, handle: PageHandle) -> None:
-        """Release a transient buffer."""
+        """Release a transient buffer.
+
+        Raises :class:`~repro.errors.SimInvariantError` when *handle* is
+        not a live transient buffer (a double free, or a ring handle).
+        """
+        try:
+            del self.transient[handle]
+        except KeyError:
+            raise SimInvariantError(
+                f"free of a handle that is not a live transient buffer "
+                f"(pfn {handle.pfn})") from None
         if _tp_free.enabled:
             _tp_free.emit(pfn=handle.pfn, order=handle.order,
                           pinned=handle.pinned)
-        self.transient.remove(handle)
         if handle.pinned:
             self.kernel.unpin_pages(handle)
         self.kernel.free_pages(handle)

@@ -81,6 +81,11 @@ class Compactor:
     stat: object
     cost: MigrationCostModel = field(default_factory=MigrationCostModel)
     victim_cores: int = 7
+    #: Lowest order at which the free scanner has failed in the current
+    #: :meth:`compact` run (``MAX_ORDER + 1``: none); see
+    #: :meth:`_take_free_above`.
+    _failed_order: int = field(default=MAX_ORDER + 1, init=False,
+                               repr=False, compare=False)
 
     def compact(
         self,
@@ -100,6 +105,7 @@ class Compactor:
             _tp_start.emit(target_order=target_order, label=allocator.label)
         result = CompactionResult()
         mem = self.mem
+        self._failed_order = MAX_ORDER + 1
 
         # The free scanner's lowest capture so far; the migration scanner
         # stops when it reaches it (the two scanners "meet", as in Linux).
@@ -148,6 +154,9 @@ class Compactor:
                     # budget: return the captured destination and leave
                     # the page for the next run.
                     allocator.free_block(dst, info.order)
+                    # Conservative: the give-back re-merges the captured
+                    # block, so forget failures rather than reason on.
+                    self._failed_order = MAX_ORDER + 1
                     result.pages_failed_transient += info.nframes
                     self.stat.inc(ev.COMPACT_FAIL, info.nframes)
                     continue
@@ -180,13 +189,26 @@ class Compactor:
         place of peeking every (order, migratetype) list: the winner is
         the highest head at *any* qualifying order, which is exactly
         what the per-list peeks computed.
+
+        Failures are remembered for the rest of the :meth:`compact` run.
+        A failed search at order k proves no free head of order >= k
+        lies above *above_pfn*, and that stays true: the migration
+        scanner only moves upward, so every later range is a suffix of
+        this one; freeing a migrated source merges into a head at or
+        below it, under every later range; and a later capture can only
+        split a block of order < k, leaving remainders below k.  The
+        MigrationError give-back in :meth:`compact` re-merges a captured
+        block; it forgets the memo rather than rely on the merge.
         """
+        if order >= self._failed_order:
+            return None
         lo = max(above_pfn + 1, allocator.start_pfn)
         hi = allocator.end_pfn
         if lo >= hi:
             return None
         cand = np.flatnonzero(allocator.mem.free_order[lo:hi] >= order)
         if cand.size == 0:
+            self._failed_order = order
             return None
         # Capture and split; the remainder returns to the free lists.
         return allocator.take_free_split(int(cand[-1]) + lo, order)

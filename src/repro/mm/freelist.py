@@ -27,8 +27,8 @@ Extraction modes (why four pops exist):
 Address ordering is *two-mode*.  A list serving only temporal pops (every
 stock-Linux list) carries zero heap bookkeeping — adds and unlinks touch
 only the packed arrays.  The first address-ordered operation builds a
-min/max heap pair from the live membership in one vectorised pass
-(``np.flatnonzero(list_id == id)`` is already sorted); from then on adds
+min/max heap pair by walking the list's own chain and sorting, so the
+cost follows the list's length, not the store's; from then on adds
 push eagerly and unlinks leave lazily-deleted stale entries, validated on
 pop against ``list_id``.  Stale entries are bounded exactly as before:
 once removals since the last rebuild exceed ``max(_COMPACT_MIN, live)``
@@ -357,12 +357,21 @@ class FreeList:
     # -- heap maintenance ------------------------------------------------
 
     def _build_heaps(self) -> None:
-        """One vectorised pass: flatnonzero over ``list_id`` yields the
-        live membership already sorted, and a sorted list is a valid
-        binary min-heap."""
-        live = np.flatnonzero(self._store.list_id == self._id)
-        self._min_heap = live.tolist()
-        self._max_heap = [-p for p in reversed(self._min_heap)]
+        """Rebuild the heaps from the live membership: walk the list's
+        own chain and sort, O(k log k) in the list's length (a sorted
+        list is a valid binary min-heap).  Sizing the build by the list,
+        not the store, keeps a refilled, near-empty list on a large
+        machine from rescanning every frame."""
+        nxt = self._next
+        live = []
+        append = live.append
+        pfn = self._head
+        for _ in range(self._count):
+            append(pfn)
+            pfn = nxt[pfn]
+        live.sort()
+        self._min_heap = live
+        self._max_heap = [-p for p in reversed(live)]
         self._removals = 0
 
     def _compact(self) -> None:

@@ -103,19 +103,6 @@ class WorkloadSpec:
     base_cpi: float = 0.8
 
 
-@dataclass
-class _Expiry:
-    """Heap entry for a transient allocation's scheduled death."""
-
-    deadline: int
-    seq: int
-    kind: str
-    payload: object
-
-    def __lt__(self, other: "_Expiry") -> bool:
-        return (self.deadline, self.seq) < (other.deadline, other.seq)
-
-
 class Workload:
     """Drives one kernel with one service's allocation pattern."""
 
@@ -143,7 +130,9 @@ class Workload:
         #: (bounded-mode eviction pops them from the list first), so an
         #: unchanged counter proves the prune would be an identity pass.
         self._pruned_reclaimed = -1
-        self._expiries: list[_Expiry] = []
+        #: Heap of ``(deadline, seq, kind, payload)`` scheduled deaths.
+        #: ``seq`` is unique, so tuple comparison never reaches payload.
+        self._expiries: list[tuple[int, int, str, object]] = []
         self._seq = 0
         self.steps = 0
         self.started = False
@@ -357,7 +346,7 @@ class Workload:
 
     def _push_expiry(self, kind: str, payload, lifetime: float) -> None:
         self._seq += 1
-        heapq.heappush(self._expiries, _Expiry(
+        heapq.heappush(self._expiries, (
             self.steps + self._lifetime(lifetime), self._seq, kind, payload))
 
     def _spawn_netbuf(self) -> None:
@@ -421,8 +410,10 @@ class Workload:
                     self.kernel.free_pages(old)
 
     def _expire(self) -> None:
-        while self._expiries and self._expiries[0].deadline <= self.steps:
-            self._release(heapq.heappop(self._expiries))
+        expiries = self._expiries
+        while expiries and expiries[0][0] <= self.steps:
+            _, _, kind, payload = heapq.heappop(expiries)
+            self._release(kind, payload)
 
     def _drain_expiries(self, kernel_residue: float = 0.0) -> None:
         """Flush every pending expiry.
@@ -433,24 +424,23 @@ class Workload:
         exit unpins and frees them.
         """
         while self._expiries:
-            item = heapq.heappop(self._expiries)
-            if (item.kind != "pin" and kernel_residue > 0
+            _, _, kind, payload = heapq.heappop(self._expiries)
+            if (kind != "pin" and kernel_residue > 0
                     and self.rng.random() < kernel_residue):
                 continue  # leaked: permanent unmovable residue
-            self._release(item)
+            self._release(kind, payload)
 
-    def _release(self, item: _Expiry) -> None:
-        if item.kind == "net":
-            if not item.payload.freed:
-                self.netpool.free_buffer(item.payload)
-        elif item.kind == "slab":
-            item.payload.cache.free_object(item.payload)
-        elif item.kind in ("fs", "pin"):
-            handle = item.payload
-            if not handle.freed:
-                if handle.pinned:
-                    self.kernel.unpin_pages(handle)
-                self.kernel.free_pages(handle)
+    def _release(self, kind: str, payload) -> None:
+        if kind == "net":
+            if not payload.freed:
+                self.netpool.free_buffer(payload)
+        elif kind == "slab":
+            payload.cache.free_object(payload)
+        elif kind in ("fs", "pin"):
+            if not payload.freed:
+                if payload.pinned:
+                    self.kernel.unpin_pages(payload)
+                self.kernel.free_pages(payload)
 
     # ------------------------------------------------------------------
     # Measurement

@@ -74,6 +74,19 @@ class TestEnvelope:
         # including the store's last-good fallback — catches it too.
         assert issubclass(CheckpointVersionError, CheckpointCorruptError)
 
+    def test_older_version_is_refused(self, tmp_path):
+        # An older payload layout (version 1 pickled the netbuf pool's
+        # transient list and the workload's expiry objects) must be
+        # refused, not resumed into a TypeError mid-run.
+        older = FORMAT_VERSION - 1
+        path = tmp_path / "x.ckpt"
+        data = bytearray(encode_checkpoint("demo", 1, {}))
+        data[4:8] = older.to_bytes(4, "big")
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointVersionError, match=f"version {older}"):
+            read_checkpoint(path)
+        assert inspect_checkpoint(path)["status"] == "version-skew"
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.ckpt"
         data = bytearray(encode_checkpoint("demo", 1, {}))

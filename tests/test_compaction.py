@@ -1,8 +1,12 @@
 """Compaction: scanners, unmovable skipping, downtime accounting."""
 
+import random
+
+import numpy as np
 import pytest
 
-from repro.errors import MigrationError
+from repro.errors import MigrationError, OutOfMemoryError
+from repro.faults import NAMED_PLANS, FaultPlan, FaultSpec, injecting
 from repro.mm import (
     AllocationInfo,
     AllocSource,
@@ -19,6 +23,8 @@ from repro.mm import (
     move_allocation,
 )
 from repro.units import MAX_ORDER, MiB
+
+from conftest import make_contiguitas, make_linux
 
 
 def build(mem_mib=8):
@@ -201,3 +207,95 @@ class TestMoveAllocationSkipPaths:
         assert info.pinned
         assert mem.is_allocated(dst)
         assert mem.allocation_info(dst).pinned
+
+
+class UnmemoisedCompactor(Compactor):
+    """Reference free scanner: searches every time, remembering no
+    failed order."""
+
+    def _take_free_above(self, allocator, order, above_pfn):
+        lo = max(above_pfn + 1, allocator.start_pfn)
+        hi = allocator.end_pfn
+        if lo >= hi:
+            return None
+        cand = np.flatnonzero(allocator.mem.free_order[lo:hi] >= order)
+        if cand.size == 0:
+            return None
+        return allocator.take_free_split(int(cand[-1]) + lo, order)
+
+
+def fragmented_kernel(make, seed):
+    """A seeded kernel whose memory is mostly allocated in mixed orders
+    (movable, pinned and unmovable), with random holes punched so free
+    space is scattered at every order."""
+    kernel = make(16)
+    rng = random.Random(f"test-compaction:fragment:{seed}")
+    live = []
+    try:
+        while kernel.free_frames() > kernel.mem.nframes // 8:
+            order = rng.choice((0, 0, 0, 1, 1, 2, 3))
+            r = rng.random()
+            if r < 0.03:
+                handle = kernel.alloc_pages(order)
+                kernel.pin_pages(handle)
+            elif r < 0.08:
+                handle = kernel.alloc_pages(
+                    order, source=AllocSource.NETWORKING,
+                    migratetype=MigrateType.UNMOVABLE)
+            else:
+                handle = kernel.alloc_pages(order)
+            live.append(handle)
+    except OutOfMemoryError:
+        pass
+    for _ in range(len(live) // 2):
+        handle = live.pop(rng.randrange(len(live)))
+        if handle.pinned:
+            kernel.unpin_pages(handle)
+        kernel.free_pages(handle)
+    kernel.drain_pcp()
+    return kernel
+
+
+def compact_everything(kernel, compactor_cls, plan, seed):
+    compactor = compactor_cls(kernel.mem, kernel.stat, kernel.compactor.cost,
+                              kernel.compactor.victim_cores)
+    results = []
+    with injecting(plan, seed):
+        for allocator in kernel.allocators():
+            for budget in (64, None):
+                results.append(compactor.compact(
+                    allocator, kernel.handles, target_order=MAX_ORDER,
+                    max_migrations=budget).snapshot())
+    handles = [(h.pfn, h.order) for h in kernel.handles.live_handles()]
+    return results, handles
+
+
+#: Persistent transient failures on ~1 in 8 pages, so every run takes
+#: the MigrationError give-back path many times.
+STUBBORN_MIGRATE = FaultPlan("stubborn-migrate", (
+    FaultSpec("mm.migrate.pin", rate=0.5),
+))
+
+
+@pytest.mark.parametrize("plan", [None, NAMED_PLANS["flaky-migrate"],
+                                  STUBBORN_MIGRATE],
+                         ids=["clean", "flaky-migrate", "stubborn-migrate"])
+@pytest.mark.parametrize("make", [make_linux, make_contiguitas],
+                         ids=["linux", "contiguitas"])
+@pytest.mark.parametrize("seed", range(3))
+def test_failed_order_memo_matches_unmemoised_scanner(seed, make, plan):
+    """The failed-order memo only skips searches that would fail: runs
+    with and without it migrate the same pages to the same frames,
+    through the MigrationError give-back path too."""
+    memo = fragmented_kernel(make, seed)
+    ref = fragmented_kernel(make, seed)
+    got = compact_everything(memo, Compactor, plan, seed)
+    want = compact_everything(ref, UnmemoisedCompactor, plan, seed)
+    assert got == want
+    assert sum(r["pages_migrated"] for r in got[0]) > 0
+    if plan is STUBBORN_MIGRATE:
+        assert sum(r["pages_failed_transient"] for r in got[0]) > 0
+    np.testing.assert_array_equal(memo.mem.free_order, ref.mem.free_order)
+    np.testing.assert_array_equal(memo.mem.alloc_order, ref.mem.alloc_order)
+    for allocator in memo.allocators():
+        allocator.check_consistency()

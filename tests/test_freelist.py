@@ -6,6 +6,8 @@ sequences through both at once and demands identical pop orders and
 lengths on every mode, including FIFO.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -350,3 +352,94 @@ def test_differential_fuzz_intrusive_vs_legacy(ops):
     while old:
         assert new.pop_lowest() == old.pop_lowest()
     assert not new
+
+
+@pytest.mark.parametrize("capacity", [1 << 10, 1 << 18],
+                         ids=["small-store", "1GiB-store"])
+@pytest.mark.parametrize("seed", range(4))
+def test_heap_builds_match_legacy(seed, capacity, monkeypatch):
+    """Seeded differential run over heap rebuilds: lists are filled to
+    sizes from one member to a few thousand, churned with every op,
+    drained to empty (which drops the heaps) and refilled, so address
+    pops rebuild the heaps from the chain many times.  Pops must match
+    the legacy reference exactly and heap staleness must stay within
+    the compaction bound."""
+    built = []
+    build = FreeList._build_heaps
+
+    def spy(fl):
+        built.append(len(fl))
+        build(fl)
+
+    monkeypatch.setattr(FreeList, "_build_heaps", spy)
+    rng = random.Random(f"test-freelist:heap-build:{seed}:{capacity}")
+    store = FreelistStore(capacity)
+    new = store.new_list()
+    store.new_list().extend(range(0, capacity, 97))  # a sibling list
+    old = LegacyFreeList()
+
+    def free_pfn():
+        # A frame off the sibling list; it may already be on ``new``,
+        # where re-adding is a no-op on both representations.
+        while True:
+            pfn = rng.randrange(capacity)
+            if not store.list_id[pfn] or pfn in old:
+                return pfn
+
+    targets = [1, 2, 64, capacity // 256, capacity // 128 + 3] * 2
+    rng.shuffle(targets)
+    for target in targets:
+        fresh = []
+        while len(old) + len(fresh) < target:
+            pfn = free_pfn()
+            if pfn not in old and pfn not in fresh:
+                fresh.append(pfn)
+        if rng.random() < 0.5:
+            new.extend(fresh)
+            old.extend(fresh)
+        else:
+            for pfn in fresh:
+                new.add(pfn)
+                old.add(pfn)
+        for _ in range(3 * target + 20):
+            op = rng.randrange(8)
+            if op == 0 and old:
+                assert new.pop_lowest() == old.pop_lowest()
+            elif op == 1 and old:
+                assert new.pop_highest() == old.pop_highest()
+            elif op == 2 and old:
+                assert new.peek_highest() == old.peek_highest()
+            elif op == 3 and old:
+                assert new.peek_lowest() == old.peek_lowest()
+            elif op == 4:
+                pfn = free_pfn()
+                new.add(pfn)
+                old.add(pfn)
+            elif op == 5 and old:
+                pfn = rng.choice(list(old))
+                assert new.discard(pfn) and old.discard(pfn)
+            elif op == 6:
+                k = rng.randrange(1, 9)
+                mode = rng.choice(["pop_many_lifo", "pop_many_fifo"])
+                assert getattr(new, mode)(k).tolist() == \
+                    getattr(old, mode)(k).tolist()
+            elif op == 7 and old:
+                mode = rng.choice(["pop_lifo", "pop_fifo"])
+                assert getattr(new, mode)() == getattr(old, mode)()
+            assert len(new) == len(old)
+            slack = max(_COMPACT_MIN, len(old)) + 1
+            assert new.stale_entries() <= 2 * slack
+            assert old.stale_entries() <= 3 * slack
+        new.check_invariants()
+        old.check_invariants()
+        # Drain to empty through the address-ordered pops.
+        while old:
+            if rng.random() < 0.5:
+                assert new.pop_highest() == old.pop_highest()
+            else:
+                assert new.pop_lowest() == old.pop_lowest()
+        assert not new and new.stale_entries() == 0
+    # Every drain dropped the heaps, so each refill rebuilt them, and
+    # the longest fills were rebuilt at full length.
+    assert len(built) >= len(targets), built
+    assert max(built) >= capacity // 128, built

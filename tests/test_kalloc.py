@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import ReproError, SimInvariantError
 from repro.kalloc import (
     FsBufferPool,
     NetworkBufferPool,
@@ -114,6 +114,30 @@ class TestNetBuf:
         assert buf.pinned
         pool.free_buffer(buf)
         assert linux.free_frames() == linux.mem.nframes
+
+    def test_double_free_is_invariant_error(self, linux):
+        pool = NetworkBufferPool(linux)
+        buf = pool.alloc_buffer()
+        pool.free_buffer(buf)
+        with pytest.raises(SimInvariantError, match=f"pfn {buf.pfn}"):
+            pool.free_buffer(buf)
+        assert linux.free_frames() == linux.mem.nframes
+
+    def test_freeing_ring_handle_is_invariant_error(self, linux):
+        pool = NetworkBufferPool(linux, NetworkQueueConfig(
+            nr_queues=1, ring_frames_per_queue=2))
+        pool.bring_up()
+        ring = pool.rings[0]
+        with pytest.raises(SimInvariantError, match=f"pfn {ring.pfn}"):
+            pool.free_buffer(ring)
+        assert not ring.freed
+        assert pool.frames_in_use() == 2
+
+    def test_release_keeps_allocation_order(self, linux):
+        pool = NetworkBufferPool(linux)
+        bufs = [pool.alloc_buffer() for _ in range(4)]
+        pool.free_buffer(bufs[1])
+        assert list(pool.transient) == [bufs[0], bufs[2], bufs[3]]
 
 
 class TestPageTables:
