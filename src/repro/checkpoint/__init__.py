@@ -20,6 +20,7 @@ from .format import (
     read_checkpoint,
 )
 from .runstate import (
+    CheckpointSession,
     maybe_crash,
     reattach_kernel,
     restore_kernel,
@@ -32,6 +33,7 @@ __all__ = [
     "FORMAT_VERSION",
     "MAGIC",
     "Checkpoint",
+    "CheckpointSession",
     "CheckpointStore",
     "DeadlineWatchdog",
     "encode_checkpoint",

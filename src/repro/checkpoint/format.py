@@ -54,7 +54,10 @@ MAGIC = b"RPCK"
 #: refused as version skew instead of resuming into a mismatched state.
 #: 2: ``NetworkBufferPool.transient`` is a dict and workload expiries
 #: are plain tuples.
-FORMAT_VERSION = 2
+#: 3: the header meta is ``{"checkpoint_every", "config": identity}``
+#: for every kind; a file without a config identity cannot be checked
+#: against the run resuming it, so it is refused rather than trusted.
+FORMAT_VERSION = 3
 
 #: magic + version + header length: the minimum parseable file.
 _PREFIX_LEN = 12

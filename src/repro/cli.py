@@ -267,14 +267,8 @@ def _cmd_loadgen(args) -> None:
     if args.json:
         import json
 
-        print(json.dumps({
-            "config": config.snapshot(),
-            "requests": result.requests,
-            "windows_seen": result.windows_seen,
-            "spikes": result.spikes,
-            "achieved_rps": round(result.achieved_rps, 3),
-            "rows": result.rows(),
-        }, sort_keys=True))
+        print(json.dumps({"config": config.snapshot(),
+                          **_loadgen_json(result)}, sort_keys=True))
     else:
         rows = [
             (row["class"], str(row["requests"]), f"{row['p50_us']:.3f}",
@@ -294,6 +288,16 @@ def _cmd_loadgen(args) -> None:
               f"{result.spikes} load spikes")
         if args.manifest:
             print(f"run manifest written to {args.manifest}")
+
+
+def _loadgen_json(result) -> dict:
+    """The JSON view of one loadgen burst (``loadgen --json`` and a
+    loadgen-kind ``checkpoint resume``)."""
+    return {"requests": result.requests,
+            "windows_seen": result.windows_seen,
+            "spikes": result.spikes,
+            "achieved_rps": round(result.achieved_rps, 3),
+            "rows": result.rows()}
 
 
 def _resolve_plan(name: str | None):
@@ -965,6 +969,9 @@ def _cmd_checkpoint_resume(args) -> None:
 
     from .checkpoint import CheckpointStore
     from .errors import CheckpointError
+    from .fleet import run_fleet, survey_fleet
+    from .workloads import run_workload
+    from .workloads.tracegen import run_loadgen
 
     names = _store_names(args.dir)
     if not names:
@@ -1002,35 +1009,22 @@ def _cmd_checkpoint_resume(args) -> None:
     print(f"# resuming {ckpt.kind} from step {ckpt.step} ({ckpt.path})",
           file=sys.stderr)
 
-    kw = dict(checkpoint_every=every, checkpoint_dir=args.dir,
-              resume=True)
-    if ckpt.kind == "fleet-survey":
-        from .fleet import survey_fleet
-
-        out = survey_fleet(config, **kw).snapshot()
-    elif ckpt.kind == "fleet":
-        from .fleet import run_fleet
-
-        sample = run_fleet(config, **kw)
-        _print_fleet_sample(sample, config.n_servers)
-        out = None
-    elif ckpt.kind == "loadgen":
-        from .workloads.tracegen import run_loadgen
-
-        result = run_loadgen(config, **kw)
-        out = {"requests": result.requests,
-               "windows_seen": result.windows_seen,
-               "spikes": result.spikes,
-               "achieved_rps": round(result.achieved_rps, 3),
-               "rows": result.rows()}
-    elif ckpt.kind == "workload":
-        from .workloads import run_workload
-
-        out = run_workload(config, **kw).snapshot()
-    else:
+    # Kind -> (front door, what to print: JSON, or None when the
+    # renderer printed its own table).
+    front_doors = {
+        "fleet-survey": (survey_fleet, lambda summary: summary.snapshot()),
+        "fleet": (run_fleet, lambda sample: _print_fleet_sample(
+            sample, config.n_servers)),
+        "loadgen": (run_loadgen, _loadgen_json),
+        "workload": (run_workload, lambda result: result.snapshot()),
+    }
+    if ckpt.kind not in front_doors:
         raise SystemExit(
             f"repro: don't know how to resume checkpoint kind "
             f"{ckpt.kind!r}")
+    run, render = front_doors[ckpt.kind]
+    out = render(run(config, checkpoint_every=every,
+                     checkpoint_dir=args.dir, resume=True))
     if out is not None:
         print(json.dumps(out, indent=2, sort_keys=True))
     if args.manifest:

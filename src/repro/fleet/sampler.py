@@ -21,25 +21,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
+from ..checkpoint import CheckpointSession
 from ..errors import ConfigurationError
 from ..mm.page import AllocSource
-from ..telemetry import (
-    CounterSet,
-    JsonlSink,
-    RingBufferSink,
-    TelemetryConfig,
-    build_manifest,
-    tracing,
-    write_manifest,
-)
+from ..telemetry import CounterSet, build_manifest, trace_run, write_manifest
 from .config import FleetConfig
 from .engine import iter_fleet_scans, resolve_workers, run_fleet_scans
 from .server import ServerConfig, ServerScan
 from .stats import median, pearson
-
-#: Shared "telemetry off" default so an untraced run builds no config
-#: per call.
-_DEFAULT_TELEMETRY = TelemetryConfig()
 
 #: Per-server metrics addressable through :meth:`FleetSample.series`.
 SERIES_METRICS = ("contiguity", "unmovable")
@@ -238,59 +227,53 @@ def _manifest_config(n_servers: int, config: ServerConfig | None,
     return config_dict
 
 
-def _checkpoint_store(checkpoint_every: int, checkpoint_dir: str | None,
-                      name: str):
-    """Build a :class:`~repro.checkpoint.CheckpointStore` when both
-    knobs are set; None otherwise (the no-checkpoint fast path)."""
-    if not checkpoint_every or checkpoint_dir is None:
-        return None
-    from ..checkpoint import CheckpointStore
-    return CheckpointStore(checkpoint_dir, name)
+def _session(kind: str, config: FleetConfig, every: int,
+             directory: str | None, resume: bool) -> CheckpointSession:
+    """A fleet checkpoint session; the manifest's config is the
+    campaign identity (it leaves out workers, chunking, supervision
+    budgets and telemetry, none of which can change a scan)."""
+    return CheckpointSession(
+        kind, config,
+        _manifest_config(config.n_servers, config.server, config.base_seed),
+        every=every, directory=directory, resume=resume)
 
 
-def _checkpoint_fleet(store, kind: str, config: FleetConfig,
-                      checkpoint_every: int, done: int,
-                      payload: dict) -> None:
-    """One fleet checkpoint boundary: tolerant save, then give the
-    ``sim.crash`` site its shot.  A failed write is counted by the
-    store and the survey continues — the deadline watchdog flags a
-    survey that *stays* unable to checkpoint.
-
-    The pickled config rides in the payload so ``repro checkpoint
-    resume <dir>`` can reconstruct the campaign without re-spelling any
-    flags; the JSON meta carries enough to sanity-check a resume and to
-    describe the file without unpickling.
-    """
-    from ..checkpoint import maybe_crash
-    from ..errors import CheckpointWriteError
-    try:
-        store.save(kind, done, {**payload, "config": config},
-                   meta={"n_servers": config.n_servers,
-                         "base_seed": config.base_seed,
-                         "checkpoint_every": checkpoint_every,
-                         "done": done})
-    except CheckpointWriteError:
-        pass
-    maybe_crash(done, kind=kind)
+def _scans(config: FleetConfig, done):
+    """Stream ``(index, scan)`` for every server of *config* whose
+    index is not in *done*."""
+    return iter_fleet_scans(
+        config.n_servers, config=config.server,
+        base_seed=config.base_seed, workers=config.workers,
+        chunk_size=config.chunk_size,
+        max_retries=config.max_retries,
+        server_timeout=config.server_timeout,
+        backoff_base=config.backoff_base,
+        indices=([i for i in range(config.n_servers) if i not in done]
+                 if done else None))
 
 
-def _load_fleet_checkpoint(store, config: FleetConfig):
-    """The last good checkpoint for *config*, or None.
-
-    A checkpoint from a differently-shaped campaign (seed or size
-    mismatch) raises instead of silently blending two surveys.
-    """
-    ckpt = store.load_latest()
-    if ckpt is None:
-        return None
-    if (ckpt.meta.get("n_servers") != config.n_servers
-            or ckpt.meta.get("base_seed") != config.base_seed):
-        raise ConfigurationError(
-            f"checkpoint in {store.directory!r} belongs to a different "
-            f"campaign (n_servers={ckpt.meta.get('n_servers')}, "
-            f"base_seed={ckpt.meta.get('base_seed')}); this run has "
-            f"n_servers={config.n_servers}, base_seed={config.base_seed}")
-    return ckpt
+def _attach_manifest(result, config: FleetConfig, trace,
+                     session: CheckpointSession) -> None:
+    """Build (and write) the run manifest onto a :class:`FleetSample`
+    or :class:`FleetSummary` when ``config.telemetry`` asks for one."""
+    telemetry = config.telemetry
+    if telemetry is None or not telemetry.emit_manifest:
+        return
+    result.manifest = build_manifest(
+        kind="fleet",
+        config=_manifest_config(config.n_servers, config.server,
+                                config.base_seed),
+        seed=config.base_seed,
+        counters=result.vmstat_totals(),
+        aggregates=result.snapshot(),
+        volatile={
+            "workers": resolve_workers(config.workers),
+            "trace_events": trace.events,
+            **session.volatile(),
+        },
+    )
+    if telemetry.manifest_path:
+        write_manifest(telemetry.manifest_path, result.manifest)
 
 
 def run_fleet(config: FleetConfig | int, /, *,
@@ -336,83 +319,17 @@ def run_fleet(config: FleetConfig | int, /, *,
             "run_fleet(FleetConfig) takes no keyword arguments; vary the "
             f"config with dataclasses.replace (got {sorted(legacy)})")
 
-    store = _checkpoint_store(checkpoint_every, checkpoint_dir, "fleet")
-    telemetry = config.telemetry
-    tcfg = telemetry or _DEFAULT_TELEMETRY
-    sink = None
-    if tcfg.trace:
-        sink = (JsonlSink(tcfg.events_path) if tcfg.events_path
-                else RingBufferSink(tcfg.ring_capacity))
-        with tracing(*tcfg.trace_patterns, sink=sink):
-            scans = _run_scans(config, checkpoint_every=checkpoint_every,
-                               store=store, resume=resume)
-        if isinstance(sink, JsonlSink):
-            sink.close()
-    else:
-        scans = _run_scans(config, checkpoint_every=checkpoint_every,
-                           store=store, resume=resume)
-
-    sample = FleetSample(scans=scans)
-    if telemetry is not None and tcfg.emit_manifest:
-        manifest = build_manifest(
-            kind="fleet",
-            config=_manifest_config(config.n_servers, config.server,
-                                    config.base_seed),
-            seed=config.base_seed,
-            counters=sample.vmstat_totals(),
-            aggregates=sample.snapshot(),
-            volatile={
-                "workers": resolve_workers(config.workers),
-                "trace_events": (sink.written if isinstance(sink, JsonlSink)
-                                 else sink.appended if sink else 0),
-                **({"checkpoint_dir": checkpoint_dir,
-                    "checkpoint_every": checkpoint_every,
-                    "resumed": resume} if store is not None else {}),
-            },
-        )
-        sample.manifest = manifest
-        if tcfg.manifest_path:
-            write_manifest(tcfg.manifest_path, manifest)
+    session = _session("fleet", config, checkpoint_every, checkpoint_dir,
+                       resume)
+    with trace_run(config.telemetry) as trace:
+        restored = session.load()
+        scans: dict[int, ServerScan] = restored["scans"] if restored else {}
+        for index, scan in _scans(config, scans):
+            scans[index] = scan
+            session.boundary(len(scans), lambda: {"scans": scans})
+    sample = FleetSample(scans=[scans[i] for i in range(config.n_servers)])
+    _attach_manifest(sample, config, trace, session)
     return sample
-
-
-def _run_scans(config: FleetConfig, *, checkpoint_every: int = 0,
-               store=None, resume: bool = False) -> list[ServerScan]:
-    if store is None:
-        return run_fleet_scans(
-            config.n_servers, config=config.server,
-            base_seed=config.base_seed, workers=config.workers,
-            chunk_size=config.chunk_size,
-            max_retries=config.max_retries,
-            server_timeout=config.server_timeout,
-            backoff_base=config.backoff_base)
-    results: list[ServerScan | None] = [None] * config.n_servers
-    done: set[int] = set()
-    if resume:
-        ckpt = _load_fleet_checkpoint(store, config)
-        if ckpt is not None:
-            for index, scan in ckpt.payload["scans"].items():
-                results[index] = scan
-                done.add(index)
-    indices = [i for i in range(config.n_servers) if i not in done]
-    since = 0
-    for index, scan in iter_fleet_scans(
-            config.n_servers, config=config.server,
-            base_seed=config.base_seed, workers=config.workers,
-            chunk_size=config.chunk_size,
-            max_retries=config.max_retries,
-            server_timeout=config.server_timeout,
-            backoff_base=config.backoff_base,
-            indices=indices):
-        results[index] = scan
-        done.add(index)
-        since += 1
-        if since % checkpoint_every == 0:
-            _checkpoint_fleet(
-                store, "fleet", config, checkpoint_every, len(done),
-                {"scans": {i: s for i, s in enumerate(results)
-                           if s is not None}})
-    return results
 
 
 @dataclass
@@ -568,71 +485,19 @@ def survey_fleet(config: FleetConfig, *,
         raise ConfigurationError(
             f"survey_fleet takes a FleetConfig, got {type(config).__name__}")
 
-    store = _checkpoint_store(checkpoint_every, checkpoint_dir,
-                              "fleet-survey")
-
-    def _stream() -> _StreamAggregator:
-        agg = _StreamAggregator()
-        done: set[int] = set()
-        if store is not None and resume:
-            ckpt = _load_fleet_checkpoint(store, config)
-            if ckpt is not None:
-                agg = ckpt.payload["agg"]
-                done = set(ckpt.payload["done"])
-        indices = (None if not done else
-                   [i for i in range(config.n_servers) if i not in done])
-        since = 0
-        for index, scan in iter_fleet_scans(
-                config.n_servers, config=config.server,
-                base_seed=config.base_seed, workers=config.workers,
-                chunk_size=config.chunk_size,
-                max_retries=config.max_retries,
-                server_timeout=config.server_timeout,
-                backoff_base=config.backoff_base,
-                indices=indices):
+    session = _session("fleet-survey", config, checkpoint_every,
+                       checkpoint_dir, resume)
+    with trace_run(config.telemetry) as trace:
+        restored = session.load()
+        agg = restored["agg"] if restored else _StreamAggregator()
+        done = set(restored["done"]) if restored else set()
+        for index, scan in _scans(config, done):
             agg.add(index, scan)
             done.add(index)
-            since += 1
-            if store is not None and since % checkpoint_every == 0:
-                _checkpoint_fleet(store, "fleet-survey", config,
-                                  checkpoint_every, len(done),
-                                  {"agg": agg, "done": sorted(done)})
-        return agg
-
-    telemetry = config.telemetry
-    tcfg = telemetry or _DEFAULT_TELEMETRY
-    sink = None
-    if tcfg.trace:
-        sink = (JsonlSink(tcfg.events_path) if tcfg.events_path
-                else RingBufferSink(tcfg.ring_capacity))
-        with tracing(*tcfg.trace_patterns, sink=sink):
-            agg = _stream()
-        if isinstance(sink, JsonlSink):
-            sink.close()
-    else:
-        agg = _stream()
-
+            session.boundary(len(done),
+                             lambda: {"agg": agg, "done": sorted(done)})
     summary = agg.finalize()
-    if telemetry is not None and tcfg.emit_manifest:
-        manifest = build_manifest(
-            kind="fleet",
-            config=_manifest_config(config.n_servers, config.server,
-                                    config.base_seed),
-            seed=config.base_seed,
-            counters=summary.vmstat_totals(),
-            aggregates=summary.snapshot(),
-            volatile={
-                "workers": resolve_workers(config.workers),
-                "trace_events": (sink.written if isinstance(sink, JsonlSink)
-                                 else sink.appended if sink else 0),
-                **({"checkpoint_dir": checkpoint_dir,
-                    "checkpoint_every": checkpoint_every,
-                    "resumed": resume} if store is not None else {}),
-            },
-        )
-        summary.manifest = manifest
-        if tcfg.manifest_path:
-            write_manifest(tcfg.manifest_path, manifest)
+    _attach_manifest(summary, config, trace, session)
     return summary
 
 

@@ -35,6 +35,7 @@ from .events import (
     TracepointRegistry,
     read_jsonl,
     set_sim_clock,
+    trace_run,
     tracepoint,
     tracing,
 )
@@ -78,6 +79,7 @@ __all__ = [
     "manifest_diff",
     "read_jsonl",
     "set_sim_clock",
+    "trace_run",
     "tracepoint",
     "tracing",
     "write_manifest",

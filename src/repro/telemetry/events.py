@@ -211,6 +211,39 @@ def tracing(*patterns: str, sink=None, registry: TracepointRegistry | None = Non
             tp.enabled = saved.get(tp.name, False)
 
 
+class TraceCount:
+    """Events one :func:`trace_run` block recorded, set when it exits."""
+
+    events = 0
+
+
+@contextmanager
+def trace_run(telemetry):
+    """Trace one front-door run as its :class:`TelemetryConfig` asks.
+
+    Nothing is traced when *telemetry* is None or has ``trace`` off.
+    Otherwise events stream to ``telemetry.events_path`` as JSONL (the
+    file is closed on exit) or into an in-memory ring.  Yields a
+    :class:`TraceCount` whose ``events`` — the manifest's
+    ``trace_events`` — is filled in once the block exits.
+    """
+    count = TraceCount()
+    if telemetry is None or not telemetry.trace:
+        yield count
+        return
+    sink = (JsonlSink(telemetry.events_path) if telemetry.events_path
+            else RingBufferSink(telemetry.ring_capacity))
+    try:
+        with tracing(*telemetry.trace_patterns, sink=sink):
+            yield count
+    finally:
+        if isinstance(sink, JsonlSink):
+            sink.close()
+            count.events = sink.written
+        else:
+            count.events = sink.appended
+
+
 class RingBufferSink:
     """Keeps the most recent *capacity* events (ftrace ring buffer)."""
 

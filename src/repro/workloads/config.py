@@ -11,8 +11,9 @@ fragmentation run and a tail-latency burst share one entry point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
+from .. import checkpoint
 from ..errors import ConfigurationError
 from ..units import MiB, PAGEBLOCK_FRAMES
 from .base import Workload, WorkloadSpec
@@ -117,6 +118,16 @@ class WorkloadResult:
         return snap
 
 
+def _identity(config: WorkloadConfig) -> dict:
+    """The checkpoint identity: every result-bearing field, the service
+    resolved to its full spec and any loadgen without its telemetry."""
+    return {"service": asdict(config.spec), "kernel": config.kernel,
+            "mem_bytes": config.mem_bytes, "steps": config.steps,
+            "seed": config.seed,
+            "loadgen": (config.loadgen.snapshot()
+                        if config.loadgen is not None else None)}
+
+
 def run_workload(config: WorkloadConfig, *,
                  checkpoint_every: int = 0,
                  checkpoint_dir: str | None = None,
@@ -145,22 +156,18 @@ def run_workload(config: WorkloadConfig, *,
     from ..core import ContiguitasConfig, ContiguitasKernel
     from ..mm import KernelConfig, LinuxKernel
 
-    store = None
-    if checkpoint_every and checkpoint_dir is not None:
-        from ..checkpoint import CheckpointStore
-        store = CheckpointStore(checkpoint_dir, "workload")
-
-    kernel = workload = None
-    start_step = 0
-    if store is not None and resume:
-        ckpt = store.load_latest()
-        if ckpt is not None:
-            from ..checkpoint import restore_kernel
-            kernel = ckpt.payload["kernel"]
-            workload = ckpt.payload["workload"]
-            start_step = ckpt.step
-            restore_kernel(kernel)
-    if kernel is None:
+    session = checkpoint.CheckpointSession(
+        "workload", config, _identity(config), every=checkpoint_every,
+        directory=checkpoint_dir, resume=resume)
+    restored = session.load()
+    if restored is not None:
+        kernel = restored["kernel"]
+        workload = restored["workload"]
+        start_step = restored["step"]
+        # Looked up on the package at call time so profilers that wrap
+        # repro.checkpoint.restore_kernel see the call.
+        checkpoint.restore_kernel(kernel)
+    else:
         if config.kernel == "linux":
             kernel = LinuxKernel(KernelConfig(mem_bytes=config.mem_bytes))
         else:
@@ -168,26 +175,14 @@ def run_workload(config: WorkloadConfig, *,
                 ContiguitasConfig(mem_bytes=config.mem_bytes))
         workload = Workload(kernel, config.spec, seed=config.seed)
         workload.start()
-    for step in range(start_step, config.steps):
+        start_step = 0
+
+    def payload() -> dict:
+        return {"kernel": kernel, "workload": workload, "step": done}
+
+    for done in range(start_step + 1, config.steps + 1):
         workload.step()
-        done = step + 1
-        if store is not None and done % checkpoint_every == 0:
-            from ..checkpoint import maybe_crash
-            from ..errors import CheckpointWriteError
-            try:
-                store.save("workload", done,
-                           {"kernel": kernel, "workload": workload,
-                            "config": config},
-                           meta={"service": config.service_name,
-                                 "seed": config.seed,
-                                 "checkpoint_every": checkpoint_every,
-                                 "steps": config.steps})
-            except CheckpointWriteError:
-                # Counted by the store; generations intact, run
-                # continues — persistent failure surfaces through the
-                # deadline watchdog instead of killing the run.
-                pass
-            maybe_crash(done, kind="workload")
+        session.boundary(done, payload)
 
     loadgen_result = None
     if config.loadgen is not None:

@@ -33,18 +33,17 @@ import random
 import re
 from dataclasses import asdict, dataclass
 
+from ..checkpoint import CheckpointSession
 from ..core.hwext.metadata import AccessMode
 from ..errors import ConfigurationError
 from ..sim.params import ArchParams, DEFAULT_PARAMS
 from ..telemetry import (
     Histogram,
-    JsonlSink,
     MetricsRegistry,
-    RingBufferSink,
     TelemetryConfig,
     build_manifest,
+    trace_run,
     tracepoint,
-    tracing,
     write_manifest,
 )
 from .interference import MEMCACHED, NGINX, ServerApp
@@ -454,8 +453,8 @@ class LoadgenResult:
 
 
 def _run_open_loop(config: LoadgenConfig, metrics: MetricsRegistry,
-                   params: ArchParams, *, checkpoint_every: int = 0,
-                   store=None, resume: bool = False) -> LoadgenResult:
+                   params: ArchParams,
+                   session: CheckpointSession) -> LoadgenResult:
     shape = get_shape(config.shape)
     app = APPS[config.app]
     freq_hz = params.freq_ghz * 1e9
@@ -467,11 +466,7 @@ def _run_open_loop(config: LoadgenConfig, metrics: MetricsRegistry,
         shape, config.rate_rps, config.duration_s, seed=config.seed)
     services = sample_service(shape, len(arrivals), seed=config.seed)
 
-    restored = None
-    if store is not None and resume:
-        ckpt = store.load_latest()
-        if ckpt is not None:
-            restored = ckpt.payload
+    restored = session.load()
     if restored is not None:
         loop = restored["loop"]
         schedule: MigrationSchedule | None = restored["schedule"]
@@ -500,6 +495,10 @@ def _run_open_loop(config: LoadgenConfig, metrics: MetricsRegistry,
                            design=config.design, rate_rps=config.rate_rps,
                            offered=len(arrivals))
 
+    def payload() -> dict:
+        return {"loop": loop, "schedule": schedule, "recorders": recorders,
+                "windows_before": windows_before, "index": index + 1}
+
     core = loop.core
     for index in range(start_index, len(arrivals)):
         arrival_s, instructions = arrivals[index], services[index]
@@ -521,27 +520,7 @@ def _run_open_loop(config: LoadgenConfig, metrics: MetricsRegistry,
             _tp_window.emit(opened=schedule.windows_seen - windows_before,
                             total=schedule.windows_seen)
             windows_before = schedule.windows_seen
-        done = index + 1
-        if (store is not None and checkpoint_every
-                and done % checkpoint_every == 0):
-            from ..checkpoint import maybe_crash
-            from ..errors import CheckpointWriteError
-            try:
-                store.save("loadgen", done,
-                           {"loop": loop, "schedule": schedule,
-                            "recorders": recorders,
-                            "windows_before": windows_before,
-                            "index": done, "config": config},
-                           meta={"shape": config.shape, "seed": config.seed,
-                                 "checkpoint_every": checkpoint_every,
-                                 "requests": len(arrivals)})
-            except CheckpointWriteError:
-                # Counted by the store; both generations are intact and
-                # the run keeps going — a run that *stays* unable to
-                # checkpoint goes stale and the deadline watchdog flags
-                # it as hung.
-                pass
-            maybe_crash(done, kind="loadgen")
+        session.boundary(index + 1, payload)
 
     windows_seen = schedule.windows_seen if schedule else 0
     metrics.inc("loadgen.requests", len(arrivals))
@@ -583,26 +562,13 @@ def run_loadgen(config: LoadgenConfig,
     checkpoint and finishes the burst with a manifest byte-identical to
     an uninterrupted run's.
     """
-    store = None
-    if checkpoint_every and checkpoint_dir is not None:
-        from ..checkpoint import CheckpointStore
-        store = CheckpointStore(checkpoint_dir, "loadgen")
+    session = CheckpointSession(
+        "loadgen", config, config.snapshot(), every=checkpoint_every,
+        directory=checkpoint_dir, resume=resume)
     metrics = MetricsRegistry()
     tcfg = config.telemetry
-    sink = None
-    if tcfg is not None and tcfg.trace:
-        sink = (JsonlSink(tcfg.events_path) if tcfg.events_path
-                else RingBufferSink(tcfg.ring_capacity))
-        with tracing(*tcfg.trace_patterns, sink=sink):
-            result = _run_open_loop(config, metrics, params,
-                                    checkpoint_every=checkpoint_every,
-                                    store=store, resume=resume)
-        if isinstance(sink, JsonlSink):
-            sink.close()
-    else:
-        result = _run_open_loop(config, metrics, params,
-                                checkpoint_every=checkpoint_every,
-                                store=store, resume=resume)
+    with trace_run(tcfg) as trace:
+        result = _run_open_loop(config, metrics, params, session)
 
     if tcfg is not None and tcfg.emit_manifest:
         manifest = build_manifest(
@@ -617,16 +583,7 @@ def run_loadgen(config: LoadgenConfig,
                    for cls, stats in result.summary().items()
                    for key, val in stats.items()},
             },
-            volatile={
-                "trace_events": (sink.written if isinstance(sink, JsonlSink)
-                                 else sink.appended if sink else 0),
-                # Checkpoint bookkeeping is volatile by design: resumed
-                # and uninterrupted runs must share an identical
-                # deterministic view.
-                **({"checkpoint_dir": checkpoint_dir,
-                    "checkpoint_every": checkpoint_every,
-                    "resumed": resume} if store is not None else {}),
-            },
+            volatile={"trace_events": trace.events, **session.volatile()},
         )
         result.manifest = manifest
         if tcfg.manifest_path:

@@ -76,16 +76,18 @@ class TestEnvelope:
 
     def test_older_version_is_refused(self, tmp_path):
         # An older payload layout (version 1 pickled the netbuf pool's
-        # transient list and the workload's expiry objects) must be
-        # refused, not resumed into a TypeError mid-run.
-        older = FORMAT_VERSION - 1
-        path = tmp_path / "x.ckpt"
-        data = bytearray(encode_checkpoint("demo", 1, {}))
-        data[4:8] = older.to_bytes(4, "big")
-        path.write_bytes(bytes(data))
-        with pytest.raises(CheckpointVersionError, match=f"version {older}"):
-            read_checkpoint(path)
-        assert inspect_checkpoint(path)["status"] == "version-skew"
+        # transient list and the workload's expiry objects) or header
+        # (version 2 carried no config identity to check a resume
+        # against) must be refused, not resumed into a mismatched run.
+        for older in range(1, FORMAT_VERSION):
+            path = tmp_path / f"v{older}.ckpt"
+            data = bytearray(encode_checkpoint("demo", 1, {}))
+            data[4:8] = older.to_bytes(4, "big")
+            path.write_bytes(bytes(data))
+            with pytest.raises(CheckpointVersionError,
+                               match=f"version {older}"):
+                read_checkpoint(path)
+            assert inspect_checkpoint(path)["status"] == "version-skew"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.ckpt"
@@ -406,6 +408,94 @@ class TestFleetResume:
                           checkpoint_dir=str(tmp_path / "empty"),
                           resume=True)
         assert fresh == run_fleet(config)
+
+
+def _foreign_case(kind):
+    """(front door, config A, config B, cadence, differing key) for one
+    checkpoint kind: B differs from A in one result-bearing field."""
+    from dataclasses import replace
+
+    from repro.fleet import run_fleet, survey_fleet
+    from repro.workloads import run_workload
+    from repro.workloads.tracegen import run_loadgen
+
+    if kind == "workload":
+        a = TestWorkloadCrashResume()._config(1)
+        return run_workload, a, replace(a, seed=9), 2, "seed"
+    if kind == "loadgen":
+        a = TestLoadgenCrashResume()._config(1)
+        return run_loadgen, a, replace(a, seed=9), 25, "seed"
+    a = _small_fleet(5, n_servers=2)
+    b = replace(a, server=replace(a.server, mem_bytes=MiB(48)))
+    run = run_fleet if kind == "fleet" else survey_fleet
+    return run, a, b, 1, "mem_bytes"
+
+
+class TestForeignCheckpoint:
+    @pytest.mark.parametrize(
+        "kind", ["workload", "loadgen", "fleet", "fleet-survey"])
+    def test_checkpoint_from_another_config_is_refused(
+            self, tmp_path, kind):
+        run, a, b, every, key = _foreign_case(kind)
+        run(a, checkpoint_every=every, checkpoint_dir=str(tmp_path))
+        current = tmp_path / f"{kind}.ckpt"
+        written = current.read_bytes()
+        with pytest.raises(ConfigurationError,
+                           match=f"different campaign: {key} "):
+            run(b, checkpoint_every=every, checkpoint_dir=str(tmp_path),
+                resume=True)
+        # Nothing resumed: no boundary of B ever wrote a generation.
+        assert current.read_bytes() == written
+
+
+class TestIdentityNotOverStrict:
+    def test_survey_resumes_under_another_worker_count(self, tmp_path):
+        from dataclasses import replace
+
+        from repro.fleet import survey_fleet
+        from repro.telemetry import TelemetryConfig, deterministic_view
+
+        config = _small_fleet(3, telemetry=TelemetryConfig())
+        with injecting(_crash_plan(2), seed=0):
+            with pytest.raises(SimCrashError):
+                survey_fleet(config, checkpoint_every=1,
+                             checkpoint_dir=str(tmp_path))
+        resumed = survey_fleet(replace(config, workers=2),
+                               checkpoint_every=1,
+                               checkpoint_dir=str(tmp_path), resume=True)
+        reference = survey_fleet(config)
+        assert (json.dumps(deterministic_view(resumed.manifest),
+                           sort_keys=True)
+                == json.dumps(deterministic_view(reference.manifest),
+                              sort_keys=True))
+
+    def test_cli_resume_with_rewritten_telemetry(self, tmp_path, capsys):
+        from dataclasses import replace
+
+        from repro.cli import main
+        from repro.fleet import survey_fleet
+        from repro.telemetry import (
+            TelemetryConfig,
+            deterministic_view,
+            load_manifest,
+        )
+
+        config = _small_fleet(11)
+        ckdir = tmp_path / "ck"
+        with injecting(_crash_plan(2), seed=0):
+            with pytest.raises(SimCrashError):
+                survey_fleet(config, checkpoint_every=1,
+                             checkpoint_dir=str(ckdir))
+        manifest = tmp_path / "resumed.json"
+        main(["checkpoint", "resume", str(ckdir),
+              "--manifest", str(manifest)])
+        assert "resuming fleet-survey from step 2" in capsys.readouterr().err
+        reference = survey_fleet(replace(config,
+                                         telemetry=TelemetryConfig()))
+        assert (json.dumps(deterministic_view(load_manifest(manifest)),
+                           sort_keys=True)
+                == json.dumps(deterministic_view(reference.manifest),
+                              sort_keys=True))
 
 
 class TestRestoreSanitizer:
