@@ -3,7 +3,9 @@
 Contiguity scans, the HW cost model, and table rendering reproduce the
 paper's measurements; :mod:`~repro.analysis.simlint` (static analysis)
 and :mod:`~repro.analysis.sanitizer` (runtime frame-state checking) keep
-the simulator itself honest — see ``docs/ANALYSIS.md``.
+the simulator itself honest — see ``docs/ANALYSIS.md``.  The lint engine
+is imported from its own package, so importing the simulator does not
+load it.
 """
 
 from .contiguity import (
@@ -29,12 +31,10 @@ from .sanitizer import (
     verify_allocator,
     verify_kernel,
 )
-from .simlint import Finding, lint_file, lint_paths, lint_source
 from .snapshot import MemorySnapshot, load_snapshot, save_snapshot
 from .timeline import TimelineRecorder, watch_kernel
 
 __all__ = [
-    "Finding",
     "FrameSanitizer",
     "MemorySnapshot",
     "MetadataTableCost",
@@ -47,9 +47,6 @@ __all__ = [
     "format_table",
     "free_block_count",
     "free_contiguity",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
     "migrations_per_second_capacity",
     "movable_potential",
     "percent",

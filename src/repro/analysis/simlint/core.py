@@ -1,9 +1,11 @@
-"""simlint engine: file contexts, disable comments, runners, renderers.
+"""simlint engine: findings, the rule base, the runner, renderers.
 
-The engine is rule-agnostic: it parses each file once, annotates the AST
-with parent links, extracts ``# simlint: disable=`` allowlists from the
-source, runs every rule, and filters suppressed findings.  Rules live in
-:mod:`repro.analysis.simlint.rules`.
+The engine is rule-agnostic: it parses each file once into a
+:class:`~repro.analysis.simlint.model.ProgramModel`, runs every selected
+rule over it, and filters findings suppressed by ``# simlint:
+disable=`` allowlists.  Per-module rules live in
+:mod:`repro.analysis.simlint.rules`, whole-program rules in
+:mod:`repro.analysis.simlint.passes`.
 """
 
 from __future__ import annotations
@@ -11,16 +13,15 @@ from __future__ import annotations
 import ast
 import json
 import os
-import re
+import pathlib
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
+from .catalogue import ApiDoc, Contracts, parse_api_doc, parse_observability
+from .model import ModuleInfo, ProgramModel
+
 #: Directory names never descended into when walking a tree.
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
-
-_DISABLE_RE = re.compile(r"#\s*simlint:\s*disable=([A-Za-z0-9_,\s]+)")
-_DISABLE_FILE_RE = re.compile(
-    r"^\s*#\s*simlint:\s*disable-file=([A-Za-z0-9_,\s]+)")
 
 
 @dataclass(frozen=True, order=True)
@@ -41,160 +42,44 @@ class Finding:
                 "rule": self.rule, "message": self.message}
 
 
-def _parse_codes(raw: str) -> set[str]:
-    return {c.strip().upper() for c in raw.split(",") if c.strip()}
+class LintError(ValueError):
+    """The lint could not be configured (no docs contract found)."""
 
 
-class FileContext:
-    """Everything a rule needs about one source file.
+class Rule:
+    """Base class: subclasses set ``code``/``title`` and implement
+    :meth:`check_module`, a per-module pass.
 
-    Attributes:
-        path: the file path as given.
-        source: full source text.
-        tree: parsed AST; every node carries a ``_simlint_parent`` link.
-        lines: source split into lines (1-indexed via ``lines[i - 1]``).
+    A whole-program rule sets ``whole_program = True`` and overrides
+    :meth:`check` instead; selecting one makes the runner load the docs
+    contracts and build the program-wide indexes.
     """
 
-    def __init__(self, source: str, path: str) -> None:
-        self.path = str(path)
-        self.source = source
-        self.lines = source.splitlines()
-        self.tree = ast.parse(source, filename=self.path)
-        for node in ast.walk(self.tree):
-            for child in ast.iter_child_nodes(node):
-                child._simlint_parent = node
-        # Directory components of the path, for subsystem scoping.  The
-        # file's own name is excluded so ``fleet.py`` is not "in fleet".
-        norm = os.path.normpath(self.path).replace(os.sep, "/")
-        self._dir_parts = set(norm.split("/")[:-1])
-        self.filename = norm.rsplit("/", 1)[-1]
+    code = ""
+    title = ""
+    whole_program = False
 
-        self.line_disables: dict[int, set[str]] = {}
-        self.file_disables: set[str] = set()
-        for lineno, line in enumerate(self.lines, start=1):
-            m = _DISABLE_FILE_RE.match(line)
-            if m:
-                self.file_disables |= _parse_codes(m.group(1))
-                continue
-            m = _DISABLE_RE.search(line)
-            if m:
-                self.line_disables[lineno] = _parse_codes(m.group(1))
+    def check(self, program: ProgramModel,
+              contracts: Contracts | None) -> Iterator[Finding]:
+        for info in program.files:
+            yield from self.check_module(info)
 
-    # -- helpers for rules ----------------------------------------------
+    def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
+        raise NotImplementedError
 
-    def in_subsystem(self, *names: str) -> bool:
-        """Whether the file sits under any of the named directories."""
-        return bool(self._dir_parts & set(names))
+    def finding(self, info: ModuleInfo, node: ast.AST,
+                message: str) -> Finding:
+        return Finding(path=info.path, line=node.lineno,
+                       col=node.col_offset, rule=self.code, message=message)
 
-    def is_test_file(self) -> bool:
-        return (self.filename.startswith("test_")
-                or self.filename == "conftest.py"
-                or "tests" in self._dir_parts)
-
-    def parents(self, node: ast.AST) -> Iterator[ast.AST]:
-        """Ancestors of *node*, innermost first."""
-        while True:
-            node = getattr(node, "_simlint_parent", None)
-            if node is None:
-                return
-            yield node
-
-    def at_module_level(self, node: ast.AST) -> bool:
-        """True when *node* executes at import time (no enclosing
-        function); class bodies count as module level."""
-        return not any(
-            isinstance(p, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-            for p in self.parents(node))
-
-    def suppressed(self, finding: Finding) -> bool:
-        codes = self.line_disables.get(finding.line, ())
-        return (finding.rule in codes or "ALL" in codes
-                or finding.rule in self.file_disables
-                or "ALL" in self.file_disables)
-
-    def finding(self, node: ast.AST, rule: str, message: str) -> Finding:
-        return Finding(path=self.path, line=node.lineno,
-                       col=node.col_offset, rule=rule, message=message)
-
-
-def dotted_name(node: ast.AST) -> str | None:
-    """Render a ``Name``/``Attribute`` chain as ``"a.b.c"``; None when
-    the chain contains anything else (calls, subscripts, ...)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
-def import_aliases(tree: ast.AST, modules: tuple[str, ...]) -> dict[str, str]:
-    """Map local names to the fully qualified names they import.
-
-    Covers ``import M``, ``import M as a``, and ``from M import x as y``
-    for every module name in *modules* (e.g. ``("time", "datetime")``).
-    """
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name in modules:
-                    aliases[alias.asname or alias.name] = alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module in modules:
-            for alias in node.names:
-                aliases[alias.asname or alias.name] = (
-                    f"{node.module}.{alias.name}")
-    return aliases
-
-
-def resolve_call(call: ast.Call, aliases: dict[str, str]) -> str | None:
-    """The fully qualified dotted name a call targets, expanding the
-    chain's root through *aliases*; None when unresolvable."""
-    name = dotted_name(call.func)
-    if name is None:
-        return None
-    root, _, rest = name.partition(".")
-    expanded = aliases.get(root)
-    if expanded is None:
-        return name
-    return f"{expanded}.{rest}" if rest else expanded
+    def doc_finding(self, path: str, line: int, message: str) -> Finding:
+        return Finding(path=path, line=line, col=0, rule=self.code,
+                       message=message)
 
 
 # ---------------------------------------------------------------------------
-# Runners
+# Runner
 # ---------------------------------------------------------------------------
-
-
-def lint_source(source: str, path: str = "<string>",
-                rules: Iterable | None = None) -> list[Finding]:
-    """Lint one source string; returns sorted, unsuppressed findings.
-
-    A syntactically invalid file yields a single ``SL000`` parse-error
-    finding rather than raising.
-    """
-    if rules is None:
-        from .rules import DEFAULT_RULES
-
-        rules = DEFAULT_RULES
-    try:
-        ctx = FileContext(source, path)
-    except SyntaxError as exc:
-        return [Finding(path=str(path), line=exc.lineno or 1,
-                        col=(exc.offset or 1) - 1, rule="SL000",
-                        message=f"syntax error: {exc.msg}")]
-    findings = []
-    for rule in rules:
-        for finding in rule.check(ctx):
-            if not ctx.suppressed(finding):
-                findings.append(finding)
-    return sorted(findings)
-
-
-def lint_file(path, rules: Iterable | None = None) -> list[Finding]:
-    with open(path, encoding="utf-8") as fh:
-        return lint_source(fh.read(), str(path), rules)
 
 
 def iter_python_files(paths: Iterable) -> Iterator[str]:
@@ -213,12 +98,114 @@ def iter_python_files(paths: Iterable) -> Iterator[str]:
             yield path
 
 
-def lint_paths(paths: Iterable, rules: Iterable | None = None) -> list[Finding]:
-    """Lint every ``.py`` file under *paths* (files or directories)."""
-    findings: list[Finding] = []
+def find_contract_root(paths, docs_dir: str | None = None) -> str:
+    """Locate the repo root whose ``docs/`` holds the contracts.
+
+    Walks up from the first analyzed path until a directory containing
+    ``docs/OBSERVABILITY.md`` is found — so fixture packages that carry
+    their own ``docs/`` get checked against those, not the repo's.  An
+    explicit *docs_dir* (the parent of OBSERVABILITY.md/API.md) skips
+    the walk.
+    """
+    if docs_dir is not None:
+        if not os.path.isfile(os.path.join(docs_dir, "OBSERVABILITY.md")):
+            raise LintError(
+                f"--docs {docs_dir!r} has no OBSERVABILITY.md")
+        return os.path.dirname(os.path.abspath(docs_dir)) or os.sep
+    if not paths:
+        raise LintError("no paths to analyze")
+    probe = os.path.abspath(str(next(iter(paths))))
+    if os.path.isfile(probe):
+        probe = os.path.dirname(probe)
+    while True:
+        if os.path.isfile(os.path.join(probe, "docs", "OBSERVABILITY.md")):
+            return probe
+        parent = os.path.dirname(probe)
+        if parent == probe:
+            raise LintError(
+                "no docs/OBSERVABILITY.md found above the analyzed "
+                "paths — the deep passes check code against that "
+                "contract (pass --docs to point at it explicitly)")
+        probe = parent
+
+
+def _relative(path: str, root: str) -> str:
+    rel = os.path.relpath(os.path.abspath(path), root)
+    return pathlib.PurePath(rel).as_posix()
+
+
+def _load_contracts(root: str, model: ProgramModel) -> Contracts:
+    obs_path = os.path.join(root, "docs", "OBSERVABILITY.md")
+    api_path = os.path.join(root, "docs", "API.md")
+    catalogue = parse_observability(obs_path)
+    catalogue.path = _relative(obs_path, root)
+    package = min((name.partition(".")[0] for name in model.modules),
+                  default="repro")
+    if os.path.isfile(api_path):
+        api = parse_api_doc(api_path, package=package)
+        api.path = _relative(api_path, root)
+    else:
+        api = ApiDoc(path=_relative(api_path, root))
+    return Contracts(catalogue=catalogue, api=api, package=package,
+                     root=root)
+
+
+def _selected(rules: Iterable | None) -> tuple:
+    from .rules import RULES
+
+    if rules is None:
+        return tuple(rule for rule in RULES if not rule.whole_program)
+    return tuple(rules)
+
+
+def _run(model: ProgramModel, rules: tuple,
+         contracts: Contracts | None) -> list[Finding]:
+    if any(rule.whole_program for rule in rules):
+        model.build_indexes()
+    by_path = {info.path: info for info in model.files}
+    kept = []
+    for rule in rules:
+        for finding in rule.check(model, contracts):
+            info = by_path.get(finding.path)
+            if info is None or not info.suppressed(finding):
+                kept.append(finding)
+    return sorted(kept)
+
+
+def lint_paths(paths: Iterable, rules: Iterable | None = None,
+               docs_dir: str | None = None) -> list[Finding]:
+    """Lint every ``.py`` file under *paths* (files or directories).
+
+    *rules* defaults to the per-module rules.  Selecting any
+    whole-program rule loads the docs contracts from the root
+    :func:`find_contract_root` finds (or *docs_dir*), and reports every
+    path relative to that root, so findings and baselines do not depend
+    on the working directory.
+    """
+    paths = list(paths)
+    rules = _selected(rules)
+    root = None
+    if any(rule.whole_program for rule in rules):
+        root = find_contract_root(paths, docs_dir)
+    model = ProgramModel()
     for path in iter_python_files(paths):
-        findings.extend(lint_file(path, rules))
-    return sorted(findings)
+        model.add_file(path, display_path=root and _relative(path, root))
+    contracts = None if root is None else _load_contracts(root, model)
+    return _run(model, rules, contracts)
+
+
+def lint_source(source: str, path: str = "<string>",
+                rules: Iterable | None = None) -> list[Finding]:
+    """Lint one source string reported under *path* with *rules*
+    (default: the per-module rules); returns sorted, unsuppressed
+    findings.
+
+    A syntactically invalid file yields a single ``SL000`` parse-error
+    finding rather than raising.
+    """
+    model = ProgramModel()
+    model.add_source(source, str(path))
+    return _run(model, _selected(rules), None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""The simlint rule catalogue (SL001–SL010).
+"""The simlint rule catalogue: the per-module rules (SL000–SL010) and
+the one rule tuple.
 
-Each rule is a small class with a ``check(ctx)`` generator yielding
-:class:`~repro.analysis.simlint.core.Finding` objects.  Rules encode the
-repository's own correctness contracts; they are deliberately repo-
-specific, not general Python style checks.
+Each per-module rule is a small class with a ``check_module(info)``
+generator over one :class:`~repro.analysis.simlint.model.ModuleInfo`,
+yielding :class:`~repro.analysis.simlint.core.Finding` objects; the
+whole-program rules (DL100–DL104) live in
+:mod:`repro.analysis.simlint.passes`.  Rules encode the repository's own
+correctness contracts; they are deliberately repo-specific, not general
+Python style checks.
 """
 
 from __future__ import annotations
@@ -11,7 +15,15 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from .core import FileContext, Finding, dotted_name, import_aliases, resolve_call
+from .core import Finding, Rule
+from .model import COMPREHENSIONS, ModuleInfo, ProgramModel, loop_iterables
+from .passes import (
+    ApiSurfaceRule,
+    DeterminismBoundaryRule,
+    ParseFailureRule,
+    RngStreamRule,
+    TelemetryContractRule,
+)
 
 #: Subsystems that must run on simulated time only (SL001).
 SIM_TIME_SUBSYSTEMS = ("mm", "sim", "kalloc", "fleet")
@@ -30,19 +42,17 @@ DEPRECATED_APIS = {
 }
 
 
-class Rule:
-    """Base class: subclasses set ``code``/``title`` and implement
-    :meth:`check`."""
+class SyntaxErrorRule(Rule):
+    """A file the per-file linter was pointed at does not parse."""
 
     code = "SL000"
-    title = ""
+    title = "file must parse"
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def finding(self, ctx: FileContext, node: ast.AST,
-                message: str) -> Finding:
-        return ctx.finding(node, self.code, message)
+    def check(self, program: ProgramModel, contracts) -> Iterator[Finding]:
+        for path, exc in program.parse_errors.items():
+            yield Finding(path=path, line=exc.lineno or 1,
+                          col=(exc.offset or 1) - 1, rule=self.code,
+                          message=f"syntax error: {exc.msg}")
 
 
 class WallClockRule(Rule):
@@ -72,17 +82,14 @@ class WallClockRule(Rule):
         "datetime.date.today": "wall-clock",
     }
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_subsystem(*SIM_TIME_SUBSYSTEMS):
+    def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
+        if not info.in_subsystem(*SIM_TIME_SUBSYSTEMS):
             return
-        aliases = import_aliases(ctx.tree, ("time", "datetime"))
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = resolve_call(node, aliases)
+        for node in info.nodes(ast.Call):
+            name = info.dotted(node.func)
             if name in self.BANNED:
                 yield self.finding(
-                    ctx, node,
+                    info, node,
                     f"{name}() reads the wall clock in a sim-time "
                     f"subsystem; use kernel ticks / sim time "
                     f"(perf_counter durations for telemetry are exempt)")
@@ -105,54 +112,41 @@ class SeededRandomRule(Rule):
     title = "no module-level or unseeded random"
 
     @staticmethod
-    def _assignment_aliases(ctx: FileContext,
-                            aliases: dict[str, str]) -> dict[str, str]:
-        """Module-level ``NAME = random.Random`` factory aliases, with
-        the right-hand side itself resolved through *aliases* — calls
+    def _factory_aliases(info: ModuleInfo) -> set[str]:
+        """Module-level ``NAME = random.Random`` factory aliases — calls
         through NAME are Random() calls wearing a different hat."""
-        out: dict[str, str] = {}
-        for node in ctx.tree.body:
-            if not (isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)):
-                continue
-            name = dotted_name(node.value)
-            if name is None:
-                continue
-            root, _, rest = name.partition(".")
-            expanded = aliases.get(root)
-            if expanded is not None:
-                name = f"{expanded}.{rest}" if rest else expanded
-            if name == "random.Random":
-                out[node.targets[0].id] = "random.Random"
-        return out
+        return {node.targets[0].id for node in info.tree.body
+                if isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and info.dotted(node.value) == "random.Random"}
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        aliases = import_aliases(ctx.tree, ("random",))
-        if not aliases:
+    def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
+        if not any(target.partition(".")[0] == "random"
+                   for target in info.imports.values()):
             return
-        aliases = {**aliases, **self._assignment_aliases(ctx, aliases)}
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = resolve_call(node, aliases)
+        factories = self._factory_aliases(info)
+        for node in info.nodes(ast.Call):
+            name = info.dotted(node.func)
+            if name in factories:
+                name = "random.Random"
             if not name or not name.startswith("random."):
                 continue
             attr = name.partition(".")[2]
             if attr == "Random":
                 if not node.args and not node.keywords:
                     yield self.finding(
-                        ctx, node,
+                        info, node,
                         "random.Random() without a seed is "
                         "nondeterministic; pass an explicit seed")
-                elif ctx.at_module_level(node):
+                elif info.at_module_level(node):
                     yield self.finding(
-                        ctx, node,
+                        info, node,
                         "module-level Random() creates import-time "
                         "global RNG state; inject it instead")
             elif attr:
                 yield self.finding(
-                    ctx, node,
+                    info, node,
                     f"random.{attr}() uses the shared global RNG; "
                     f"draw from an injected seeded random.Random")
 
@@ -171,14 +165,14 @@ class TracepointGuardRule(Rule):
     code = "SL003"
     title = "tracepoint emit must be guarded by its enabled flag"
 
-    def _tracepoint_vars(self, ctx: FileContext) -> set[str]:
+    def _tracepoint_vars(self, info: ModuleInfo) -> set[str]:
         out = set()
-        for node in ctx.tree.body:
+        for node in info.tree.body:
             if (isinstance(node, ast.Assign)
                     and len(node.targets) == 1
                     and isinstance(node.targets[0], ast.Name)
                     and isinstance(node.value, ast.Call)):
-                name = dotted_name(node.value.func)
+                name = info.dotted(node.value.func)
                 if name and (name == "tracepoint"
                              or name.endswith(".tracepoint")):
                     out.add(node.targets[0].id)
@@ -193,9 +187,10 @@ class TracepointGuardRule(Rule):
                 return True
         return False
 
-    def _guarded(self, ctx: FileContext, node: ast.AST, tp_name: str) -> bool:
+    def _guarded(self, info: ModuleInfo, node: ast.AST,
+                 tp_name: str) -> bool:
         child = node
-        for parent in ctx.parents(node):
+        for parent in info.parents(node):
             if (isinstance(parent, ast.If)
                     and any(child is stmt for stmt in parent.body)
                     and self._test_checks_enabled(parent.test, tp_name)):
@@ -203,13 +198,12 @@ class TracepointGuardRule(Rule):
             child = parent
         return False
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        tp_vars = self._tracepoint_vars(ctx)
+    def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
+        tp_vars = self._tracepoint_vars(info)
         if not tp_vars:
             return
-        for node in ast.walk(ctx.tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
+        for node in info.nodes(ast.Call):
+            if not (isinstance(node.func, ast.Attribute)
                     and node.func.attr == "emit"
                     and isinstance(node.func.value, ast.Name)
                     and node.func.value.id in tp_vars):
@@ -217,9 +211,9 @@ class TracepointGuardRule(Rule):
             if not node.args and not node.keywords:
                 continue
             tp_name = node.func.value.id
-            if not self._guarded(ctx, node, tp_name):
+            if not self._guarded(info, node, tp_name):
                 yield self.finding(
-                    ctx, node,
+                    info, node,
                     f"{tp_name}.emit(...) builds arguments without an "
                     f"'if {tp_name}.enabled:' guard; disabled runs must "
                     f"not pay for event construction")
@@ -238,16 +232,15 @@ class BareAssertRule(Rule):
     code = "SL004"
     title = "no bare assert in non-test code"
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.is_test_file():
+    def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
+        if info.is_test_file():
             return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Assert):
-                yield self.finding(
-                    ctx, node,
-                    "bare assert is stripped under python -O; raise "
-                    "SimInvariantError (repro.errors) or use the "
-                    "sanitizer (repro.analysis.sanitizer)")
+        for node in info.nodes(ast.Assert):
+            yield self.finding(
+                info, node,
+                "bare assert is stripped under python -O; raise "
+                "SimInvariantError (repro.errors) or use the "
+                "sanitizer (repro.analysis.sanitizer)")
 
 
 class MutableDefaultRule(Rule):
@@ -259,27 +252,25 @@ class MutableDefaultRule(Rule):
     _MUTABLE_CALLS = {"list", "dict", "set", "bytearray", "defaultdict",
                       "deque", "OrderedDict", "Counter"}
 
-    def _is_mutable(self, node: ast.AST) -> bool:
+    def _is_mutable(self, info: ModuleInfo, node: ast.AST) -> bool:
         if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
                              ast.SetComp, ast.DictComp)):
             return True
         if isinstance(node, ast.Call):
-            name = dotted_name(node.func)
+            name = info.dotted(node.func)
             return bool(name) and name.split(".")[-1] in self._MUTABLE_CALLS
         return False
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.Lambda)):
-                continue
+    def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
+        for node in info.nodes(ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda):
             defaults = list(node.args.defaults)
             defaults += [d for d in node.args.kw_defaults if d is not None]
             for default in defaults:
-                if self._is_mutable(default):
+                if self._is_mutable(info, default):
                     fn = getattr(node, "name", "<lambda>")
                     yield self.finding(
-                        ctx, default,
+                        info, default,
                         f"mutable default argument in {fn}() is shared "
                         f"across calls; default to None and build inside")
 
@@ -296,47 +287,14 @@ class DeterministicIterationRule(Rule):
     code = "SL006"
     title = "deterministic iteration in fleet/telemetry"
 
-    _SET_OPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-
-    def _set_vars(self, ctx: FileContext) -> set[str]:
-        """Names assigned a set-typed expression anywhere in the file
-        (scope-insensitive heuristic)."""
-        out: set[str] = set()
-        for node in ast.walk(ctx.tree):
-            if (isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                    and self._is_set_expr(node.value, out)):
-                out.add(node.targets[0].id)
-        return out
-
-    def _is_set_expr(self, node: ast.AST, set_vars: set[str]) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call):
-            return dotted_name(node.func) in ("set", "frozenset")
-        if isinstance(node, ast.BinOp) and isinstance(node.op, self._SET_OPS):
-            return (self._is_set_expr(node.left, set_vars)
-                    or self._is_set_expr(node.right, set_vars))
-        if isinstance(node, ast.Name):
-            return node.id in set_vars
-        return False
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_subsystem(*ORDERED_OUTPUT_SUBSYSTEMS):
+    def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
+        if not info.in_subsystem(*ORDERED_OUTPUT_SUBSYSTEMS):
             return
-        set_vars = self._set_vars(ctx)
-        iters: list[ast.AST] = []
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.For):
-                iters.append(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                                   ast.GeneratorExp)):
-                iters.extend(gen.iter for gen in node.generators)
-        for it in iters:
-            if self._is_set_expr(it, set_vars):
+        set_vars = info.set_vars(info.nodes(ast.Assign))
+        for it in loop_iterables(info.nodes(ast.For, *COMPREHENSIONS)):
+            if info.is_set_expr(it, set_vars):
                 yield self.finding(
-                    ctx, it,
+                    info, it,
                     "iterating a set in an output-producing subsystem; "
                     "iteration order is arbitrary — wrap in sorted(...)")
 
@@ -352,14 +310,13 @@ class DeprecatedApiRule(Rule):
     code = "SL007"
     title = "no calls to deprecated APIs"
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
+    def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
+        for node in info.nodes(ast.Call):
+            if (isinstance(node.func, ast.Attribute)
                     and node.func.attr in DEPRECATED_APIS):
                 replacement = DEPRECATED_APIS[node.func.attr]
                 yield self.finding(
-                    ctx, node,
+                    info, node,
                     f".{node.func.attr}() is deprecated; use "
                     f"{replacement}")
 
@@ -415,18 +372,16 @@ class BoundedRetryRule(Rule):
                 return True
         return False
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.is_test_file():
+    def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
+        if info.is_test_file():
             return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.While):
-                continue
+        for node in info.nodes(ast.While):
             if not self._constant_true(node.test):
                 continue
             if (self._looks_like_retry(node)
                     and not self._has_attempt_counter(node)):
                 yield self.finding(
-                    ctx, node,
+                    info, node,
                     "unbounded retry loop: 'while True:' with "
                     "retry/backoff markers but no attempt counter; "
                     "bound the attempts and raise or degrade once the "
@@ -469,37 +424,34 @@ class PerFrameObjectRule(Rule):
             if isinstance(node, ast.Name):
                 yield node.id
 
-    def _per_frame_loops(self, ctx: FileContext) -> Iterator[ast.AST]:
-        for node in ast.walk(ctx.tree):
+    def _per_frame_loops(self, info: ModuleInfo) -> Iterator[ast.AST]:
+        for node in info.nodes(ast.For, *COMPREHENSIONS):
             if isinstance(node, ast.For):
                 names = self._target_names(node.target)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                                   ast.GeneratorExp)):
+            else:
                 names = (n for gen in node.generators
                          for n in self._target_names(gen.target))
-            else:
-                continue
             if any(marker in name.lower()
                    for name in names
                    for marker in PER_FRAME_LOOP_MARKERS):
                 yield node
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_subsystem("mm") or ctx.is_test_file():
+    def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
+        if not info.in_subsystem("mm") or info.is_test_file():
             return
         seen: set[ast.AST] = set()
-        for loop in self._per_frame_loops(ctx):
+        for loop in self._per_frame_loops(info):
             for node in ast.walk(loop):
                 if node in seen or not isinstance(node, ast.Call):
                     continue
-                name = dotted_name(node.func)
+                name = info.dotted(node.func)
                 if not name:
                     continue
                 ctor = name.split(".")[-1]
                 if ctor in PER_FRAME_OBJECT_CTORS:
                     seen.add(node)
                     yield self.finding(
-                        ctx, node,
+                        info, node,
                         f"{ctor}(...) constructs a Python object per "
                         f"frame in an mm hot loop; read the packed "
                         f"arrays (pageblocks.get_int, free_order_mv, "
@@ -548,50 +500,38 @@ class AtomicDurableWriteRule(Rule):
             return False
         return any(ch in mode.value for ch in cls._WRITE_CHARS)
 
-    def _enclosing_scope(self, ctx: FileContext, node: ast.AST) -> ast.AST:
-        for parent in ctx.parents(node):
-            if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return parent
-        return ctx.tree
-
-    @staticmethod
-    def _calls_replace(scope: ast.AST,
-                       aliases: dict[str, str]) -> bool:
-        for node in ast.walk(scope):
-            if not isinstance(node, ast.Call):
-                continue
-            name = resolve_call(node, aliases)
+    def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
+        if not info.in_subsystem(*DURABLE_OUTPUT_SUBSYSTEMS):
+            return
+        if info.is_test_file():
+            return
+        # Scopes whose body (nested defs included) calls os.replace:
+        # every ancestor of each call, the module among them.
+        replacing: set[ast.AST] = set()
+        opens: list[ast.Call] = []
+        for node in info.nodes(ast.Call):
+            name = info.dotted(node.func)
             if name == "os.replace":
-                return True
-        return False
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_subsystem(*DURABLE_OUTPUT_SUBSYSTEMS):
-            return
-        if ctx.is_test_file():
-            return
-        aliases = import_aliases(ctx.tree, ("os", "io"))
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = resolve_call(node, aliases) or dotted_name(node.func)
-            if name not in ("open", "io.open"):
-                continue
-            if not self._write_mode(node):
-                continue
-            scope = self._enclosing_scope(ctx, node)
-            if self._calls_replace(scope, aliases):
+                replacing.update(info.parents(node))
+            elif name in ("open", "io.open") and self._write_mode(node):
+                opens.append(node)
+        for node in opens:
+            scope = info.first_parent(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef)) or info.tree
+            if scope in replacing:
                 continue
             yield self.finding(
-                ctx, node,
+                info, node,
                 "write-mode open() in a durable-output subsystem "
                 "without os.replace in the enclosing scope; stage to a "
                 "tempfile in the target directory and publish with "
                 "os.replace (see experiments.cache / checkpoint.format)")
 
 
-#: The shipped rule set, in code order.
-DEFAULT_RULES = (
+#: Every shipped rule, in code order: the per-module rules, then the
+#: whole-program ones.
+RULES = (
+    SyntaxErrorRule(),
     WallClockRule(),
     SeededRandomRule(),
     TracepointGuardRule(),
@@ -602,13 +542,17 @@ DEFAULT_RULES = (
     BoundedRetryRule(),
     PerFrameObjectRule(),
     AtomicDurableWriteRule(),
+    ParseFailureRule(),
+    TelemetryContractRule(),
+    RngStreamRule(),
+    ApiSurfaceRule(),
+    DeterminismBoundaryRule(),
 )
 
 
 def rule_catalogue() -> list[tuple[str, str, str]]:
-    """``(code, title, doc)`` for every shipped rule (docs + CLI)."""
-    out = []
-    for rule in DEFAULT_RULES:
-        doc = (rule.__doc__ or "").strip().splitlines()[0]
-        out.append((rule.code, rule.title, doc))
-    return out
+    """``(code, title, summary)`` for every shipped rule (docs, CLI and
+    SARIF); the summary is the first paragraph of the rule's docstring."""
+    return [(rule.code, rule.title,
+             " ".join(rule.__doc__.strip().split("\n\n")[0].split()))
+            for rule in RULES]

@@ -471,73 +471,55 @@ def _cmd_lint(args) -> None:
     import os
     import sys
 
-    from .analysis import deeplint
-    from .analysis.simlint import (
-        lint_paths,
-        render_json,
-        render_text,
-        rule_catalogue,
-    )
+    from .analysis import simlint
 
     if args.list_rules:
-        if args.deep:
-            catalogue = deeplint.full_rule_catalogue()
-            if args.json:
-                import json
-
-                print(json.dumps(
-                    [{"code": c, "title": t, "summary": s}
-                     for c, t, s in catalogue], indent=2))
-            else:
-                print(format_table(
-                    ["Rule", "Contract"],
-                    [(code, title) for code, title, _ in catalogue],
-                    title="simlint + deeplint rule catalogue "
-                          "(docs/ANALYSIS.md)"))
-            return
+        catalogue = simlint.rule_catalogue()
         if args.json:
             import json
 
             print(json.dumps(
                 [{"code": c, "title": t, "summary": s}
-                 for c, t, s in rule_catalogue()], indent=2))
+                 for c, t, s in catalogue], indent=2))
         else:
             print(format_table(
                 ["Rule", "Contract"],
-                [(code, title) for code, title, _ in rule_catalogue()],
+                [(code, title) for code, title, _ in catalogue],
                 title="simlint rule catalogue (docs/ANALYSIS.md)"))
         return
+    if not args.deep and (args.baseline or args.strict
+                          or args.write_baseline):
+        args.usage_error("--baseline, --strict and --write-baseline "
+                         "need --deep")
     # Default target: the installed repro package itself, so `repro lint`
     # works from any working directory.
     paths = args.paths or [os.path.dirname(os.path.abspath(__file__))]
-    findings = lint_paths(paths)
     baseline = None
     baseline_path = args.baseline
+    try:
+        findings = simlint.lint_paths(
+            paths, rules=simlint.RULES if args.deep else None,
+            docs_dir=args.docs)
+    except simlint.LintError as exc:
+        raise SystemExit(f"repro lint: {exc}")
     if args.deep:
-        try:
-            root = deeplint.find_contract_root(paths, args.docs)
-            findings.extend(deeplint.deep_lint_paths(paths,
-                                                     docs_dir=args.docs))
-        except deeplint.DeepLintError as exc:
-            raise SystemExit(f"repro lint: {exc}")
-        findings.sort()
         if baseline_path is None:
+            root = simlint.find_contract_root(paths, args.docs)
             baseline_path = os.path.join(root, ".deeplint-baseline.json")
         if args.write_baseline:
-            deeplint.write_baseline(baseline_path, findings)
+            simlint.write_baseline(baseline_path, findings)
             print(f"wrote {len(findings)} suppression(s) to "
                   f"{baseline_path}")
             return
         if os.path.isfile(baseline_path):
             try:
-                baseline = deeplint.load_baseline(baseline_path)
-            except deeplint.BaselineError as exc:
+                baseline = simlint.load_baseline(baseline_path)
+            except simlint.BaselineError as exc:
                 raise SystemExit(f"repro lint: {exc}")
-    active, _suppressed, stale = deeplint.apply_baseline(findings,
-                                                         baseline)
+    active, _suppressed, stale = simlint.apply_baseline(findings, baseline)
     if args.sarif:
-        document = deeplint.render_sarif(
-            findings, deeplint.full_rule_catalogue(),
+        document = simlint.render_sarif(
+            findings, simlint.rule_catalogue(),
             baseline.fingerprints if baseline else frozenset())
         if args.sarif == "-":
             print(document, end="")
@@ -545,7 +527,8 @@ def _cmd_lint(args) -> None:
             with open(args.sarif, "w", encoding="utf-8") as fh:
                 fh.write(document)
     if args.sarif != "-":
-        print(render_json(active) if args.json else render_text(active))
+        print(simlint.render_json(active) if args.json
+              else simlint.render_text(active))
     for entry in stale:
         print(f"simlint: stale baseline entry {entry['rule']} "
               f"{entry['path']}: {entry['message']!r} matches nothing — "
@@ -1206,7 +1189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint", help="determinism & invariant static analysis "
-                     "(simlint + deeplint)",
+                     "(simlint)",
         parents=[_common_options(json_flag=True)])
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files/directories to lint (default: the "
@@ -1214,9 +1197,10 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalogue and exit")
     lint.add_argument("--deep", action="store_true",
-                      help="also run the whole-program passes "
-                           "(DL101-DL104) against docs/OBSERVABILITY.md "
-                           "and docs/API.md")
+                      help="lint the whole program: also run the "
+                           "whole-program rules (DL100-DL104) against "
+                           "docs/OBSERVABILITY.md and docs/API.md, with "
+                           "paths relative to the contract root")
     lint.add_argument("--strict", action="store_true",
                       help="with --deep: also fail on stale baseline "
                            "entries, keeping the suppression file "
@@ -1235,7 +1219,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="directory holding OBSERVABILITY.md/API.md "
                            "(default: discovered by walking up from the "
                            "linted paths)")
-    lint.set_defaults(fn=_cmd_lint)
+    lint.set_defaults(fn=_cmd_lint, usage_error=lint.error)
 
     experiment = sub.add_parser(
         "experiment", help="declarative experiments with result caching")

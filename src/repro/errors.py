@@ -1,6 +1,29 @@
-"""Exception hierarchy for the Contiguitas reproduction."""
+"""Exception hierarchy for the Contiguitas reproduction, and the
+warn-once helper every deprecation shim uses."""
 
 from __future__ import annotations
+
+import warnings
+
+#: Deprecation keys that already warned this process.  Each shim warns
+#: once (docs/API.md) so sweeps over thousands of calls do not flood
+#: stderr and ``-W error`` runs do not die mid-sweep; tests discard a key
+#: to re-arm its warning.
+DEPRECATION_WARNED: set[str] = set()
+
+
+def warn_once(key: str, message: str, stacklevel: int) -> None:
+    """Issue *message* as a DeprecationWarning the first time *key* is
+    seen in this process, and do nothing after that.
+
+    *stacklevel* goes to :func:`warnings.warn` unchanged, so it counts
+    frames from this helper: 2 names the shim that calls it, 3 the
+    shim's caller.
+    """
+    if key in DEPRECATION_WARNED:
+        return
+    DEPRECATION_WARNED.add(key)
+    warnings.warn(message, DeprecationWarning, stacklevel=stacklevel)
 
 
 class ReproError(Exception):

@@ -30,30 +30,16 @@ cost one simulation.
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, warn_once
 from .grid import Axis, axes_from_grid, expand_axes
 
 _NAME_RE = re.compile(r"^[a-z0-9][a-z0-9-]*$")
 
 #: Parameter values must be flat JSON scalars so configs hash stably.
 _SCALARS = (str, int, float, bool, type(None))
-
-#: Deprecation keys that already warned this process (warn-once policy,
-#: docs/API.md): the first ``grid=`` spec warns, later ones are silent
-#: so ``-W error`` sweeps over many specs do not die mid-registration.
-_DEPRECATION_WARNED: set[str] = set()
-
-
-def _warn_once(key: str, message: str) -> None:
-    if key in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=4)
-
 
 @dataclass(frozen=True)
 class ExperimentContext:
@@ -130,11 +116,11 @@ class ExperimentSpec:
         if self.grid:
             # Legacy grid dicts compile through the shared Axis/Cell
             # engine (one axis per parameter) behind a warn-once shim.
-            _warn_once(
+            warn_once(
                 "ExperimentSpec.grid",
                 "ExperimentSpec(grid={...}) is deprecated; declare "
                 "axes=(Axis(...), ...) — grids and scenario matrices "
-                "now share one cell engine (docs/API.md)")
+                "now share one cell engine (docs/API.md)", stacklevel=4)
             object.__setattr__(self, "axes", axes_from_grid(self.grid))
         else:
             for axis in self.axes:

@@ -18,11 +18,10 @@ and optionally written to disk for ``repro metrics`` diffing.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from ..checkpoint import CheckpointSession
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, warn_once
 from ..mm.page import AllocSource
 from ..telemetry import CounterSet, build_manifest, trace_run, write_manifest
 from .config import FleetConfig
@@ -33,22 +32,11 @@ from .stats import median, pearson
 #: Per-server metrics addressable through :meth:`FleetSample.series`.
 SERIES_METRICS = ("contiguity", "unmovable")
 
-#: Deprecated entry points that have already warned this process; each
-#: shim warns exactly once so sweeps over thousands of samples don't
-#: flood stderr.  Tests may clear this to re-arm the warnings.
-_DEPRECATION_WARNED: set[str] = set()
-
-
-def _warn_once(key: str, message: str) -> None:
-    if key in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-
 
 def _warn_deprecated_once(name: str, replacement: str) -> None:
-    _warn_once(name,
-               f"FleetSample.{name}() is deprecated; use {replacement}")
+    warn_once(name,
+              f"FleetSample.{name}() is deprecated; use {replacement}",
+              stacklevel=3)
 
 
 @dataclass
@@ -308,11 +296,11 @@ def run_fleet(config: FleetConfig | int, /, *,
     that, or pass a :class:`FleetConfig` here.
     """
     if isinstance(config, int):
-        _warn_once(
+        warn_once(
             "run_fleet-legacy",
             "run_fleet(n_servers, ...) -> list[ServerScan] is deprecated; "
             "pass a FleetConfig (returns a FleetSample) or call "
-            "repro.fleet.engine.run_fleet_scans")
+            "repro.fleet.engine.run_fleet_scans", stacklevel=3)
         return run_fleet_scans(config, **legacy)
     if legacy:
         raise ConfigurationError(
@@ -517,10 +505,10 @@ def sample_fleet(n_servers: int = 50,
 
         run_fleet(FleetConfig(n_servers=8, server=ServerConfig(...)))
     """
-    _warn_once(
+    warn_once(
         "sample_fleet",
         "sample_fleet(...) is deprecated; use "
-        "run_fleet(FleetConfig(...)) from repro.fleet")
+        "run_fleet(FleetConfig(...)) from repro.fleet", stacklevel=3)
     return run_fleet(FleetConfig(
         n_servers=n_servers, server=config, base_seed=base_seed,
         workers=workers, telemetry=telemetry, max_retries=max_retries,

@@ -16,8 +16,7 @@ constants ``WEB``/``CACHE_A``/``CACHE_B``/``CI``/``ADS``/``RDMA`` and
 the ``BY_NAME`` dict — use the registry instead.
 """
 
-import warnings
-
+from ..errors import warn_once
 from .base import Workload, WorkloadSpec
 from .config import WorkloadConfig, WorkloadResult, run_workload
 from .fragmenter import fragment_fully, fragment_partially
@@ -110,16 +109,6 @@ _DEPRECATED_SERVICES = {
     "RDMA": "rdma",
 }
 
-_DEPRECATION_WARNED: set[str] = set()
-
-
-def _warn_once(key: str, message: str) -> None:
-    if key in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-
-
 def __getattr__(name: str):
     """Warn-once deprecation shims for the pre-registry surface.
 
@@ -129,14 +118,15 @@ def __getattr__(name: str):
     """
     if name in _DEPRECATED_SERVICES:
         registry_name = _DEPRECATED_SERVICES[name]
-        _warn_once(name, (
+        warn_once(name, (
             f"repro.workloads.{name} is deprecated; use "
-            f"get_service({registry_name!r}) (docs/API.md)"))
+            f"get_service({registry_name!r}) (docs/API.md)"), stacklevel=3)
         return get_service(registry_name)
     if name == "BY_NAME":
-        _warn_once("BY_NAME", (
+        warn_once("BY_NAME", (
             "repro.workloads.BY_NAME is deprecated; use "
-            "get_service(name) / list_services() (docs/API.md)"))
+            "get_service(name) / list_services() (docs/API.md)"),
+            stacklevel=3)
         from .services import BY_NAME
         return BY_NAME
     raise AttributeError(

@@ -16,9 +16,8 @@ import repro.experiments
 import repro.fleet
 import repro.scenarios
 import repro.workloads
-from repro.errors import ConfigurationError
+from repro.errors import DEPRECATION_WARNED, ConfigurationError
 from repro.fleet import FleetConfig, run_fleet, sample_fleet
-from repro.fleet import sampler as sampler_mod
 from repro.fleet.server import ServerConfig
 from repro.units import MiB
 
@@ -179,9 +178,9 @@ class TestExportSnapshots:
         # and SARIF consumers key on these IDs.  Adding or removing a
         # rule must update this snapshot, docs/ANALYSIS.md, and the
         # fixture coverage in tests/test_deeplint.py together.
-        from repro.analysis.deeplint import full_rule_catalogue
+        from repro.analysis.simlint import rule_catalogue
 
-        assert [code for code, _, _ in full_rule_catalogue()] == [
+        assert [code for code, _, _ in rule_catalogue()] == [
             "SL000",
             "SL001",
             "SL002",
@@ -225,7 +224,7 @@ class TestFrontDoor:
 
 class TestDeprecationShims:
     def test_sample_fleet_warns_exactly_once(self):
-        sampler_mod._DEPRECATION_WARNED.discard("sample_fleet")
+        DEPRECATION_WARNED.discard("sample_fleet")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             a = sample_fleet(n_servers=1, config=SMALL, base_seed=2,
@@ -241,7 +240,7 @@ class TestDeprecationShims:
     def test_sample_fleet_second_call_survives_w_error(self):
         """After the single warning fired, the shim is silent even under
         ``-W error`` — sweeps over thousands of samples don't die."""
-        sampler_mod._DEPRECATION_WARNED.discard("sample_fleet")
+        DEPRECATION_WARNED.discard("sample_fleet")
         with warnings.catch_warnings(record=True):
             warnings.simplefilter("always")
             sample_fleet(n_servers=1, config=SMALL, base_seed=2, workers=1)
@@ -250,7 +249,7 @@ class TestDeprecationShims:
             sample_fleet(n_servers=1, config=SMALL, base_seed=2, workers=1)
 
     def test_sample_fleet_first_call_raises_under_w_error(self):
-        sampler_mod._DEPRECATION_WARNED.discard("sample_fleet")
+        DEPRECATION_WARNED.discard("sample_fleet")
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             with pytest.raises(DeprecationWarning, match="FleetConfig"):
@@ -258,7 +257,7 @@ class TestDeprecationShims:
                              workers=1)
 
     def test_shim_matches_front_door(self):
-        sampler_mod._DEPRECATION_WARNED.add("sample_fleet")
+        DEPRECATION_WARNED.add("sample_fleet")
         shim = sample_fleet(n_servers=2, config=SMALL, base_seed=6,
                             workers=1)
         front = run_fleet(FleetConfig(n_servers=2, server=SMALL,
@@ -316,7 +315,7 @@ class TestWorkloadFrontDoor:
 
 class TestWorkloadDeprecationShims:
     def _reset(self, key: str) -> None:
-        repro.workloads._DEPRECATION_WARNED.discard(key)
+        DEPRECATION_WARNED.discard(key)
 
     def test_service_constant_warns_exactly_once(self):
         self._reset("WEB")
@@ -340,7 +339,7 @@ class TestWorkloadDeprecationShims:
     def test_by_name_shim_matches_registry(self):
         from repro.workloads import get_service, list_services
 
-        repro.workloads._DEPRECATION_WARNED.add("BY_NAME")
+        DEPRECATION_WARNED.add("BY_NAME")
         by_name = repro.workloads.BY_NAME
         for camel, spec in by_name.items():
             assert get_service(camel) is spec
@@ -349,7 +348,7 @@ class TestWorkloadDeprecationShims:
     def test_shim_matches_front_door(self):
         from repro.workloads import get_service
 
-        repro.workloads._DEPRECATION_WARNED.add("RDMA")
+        DEPRECATION_WARNED.add("RDMA")
         assert repro.workloads.RDMA is get_service("rdma")
 
 
@@ -397,9 +396,7 @@ class TestGridDeprecationShim:
             defaults={"steps": 10, "service": "web"}, **kwargs)
 
     def _reset(self):
-        from repro.experiments import spec as spec_mod
-
-        spec_mod._DEPRECATION_WARNED.discard("ExperimentSpec.grid")
+        DEPRECATION_WARNED.discard("ExperimentSpec.grid")
 
     def test_grid_dict_warns_exactly_once(self):
         self._reset()
@@ -432,9 +429,8 @@ class TestGridDeprecationShim:
 
     def test_grid_dict_matches_axes_spelling(self):
         from repro.experiments import axes_from_grid
-        from repro.experiments import spec as spec_mod
 
-        spec_mod._DEPRECATION_WARNED.add("ExperimentSpec.grid")
+        DEPRECATION_WARNED.add("ExperimentSpec.grid")
         legacy = self._spec(grid={"steps": (10, 20), "service": ("web",)})
         modern = self._spec(axes=axes_from_grid(
             {"steps": (10, 20), "service": ("web",)}))

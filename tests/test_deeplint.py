@@ -1,4 +1,4 @@
-"""deeplint: whole-program passes, SARIF, baseline, determinism.
+"""simlint whole-program rules: DL passes, SARIF, baseline, determinism.
 
 Fixture packages under ``tests/fixtures/deeplint/`` carry one seeded
 violation and one allowlisted case per DL rule (``dirty``) and a
@@ -6,6 +6,7 @@ conforming package (``clean``); the shipped ``src/repro`` tree itself
 must be deep-clean with the committed (empty) baseline.
 """
 
+import ast
 import json
 import pathlib
 import subprocess
@@ -14,18 +15,20 @@ import textwrap
 
 import pytest
 
-from repro.analysis.deeplint import (
+from repro.analysis.simlint import (
+    RULES,
     BaselineError,
-    DeepLintError,
+    LintError,
     apply_baseline,
-    deep_lint_paths,
     find_contract_root,
-    full_rule_catalogue,
+    lint_paths,
     load_baseline,
     render_sarif,
+    rule_catalogue,
     write_baseline,
 )
-from repro.analysis.deeplint.sarif import finding_fingerprint
+from repro.analysis.simlint.core import iter_python_files
+from repro.analysis.simlint.sarif import finding_fingerprint
 
 TESTS = pathlib.Path(__file__).parent
 FIXTURES = TESTS / "fixtures" / "deeplint"
@@ -33,11 +36,12 @@ DIRTY = FIXTURES / "dirty" / "pkg"
 CLEAN = FIXTURES / "clean" / "pkg"
 REPO = TESTS.parent
 SRC = REPO / "src" / "repro"
+WHOLE_PROGRAM = tuple(rule for rule in RULES if rule.whole_program)
 
 
 @pytest.fixture(scope="module")
 def dirty():
-    return deep_lint_paths([DIRTY])
+    return lint_paths([DIRTY], rules=WHOLE_PROGRAM)
 
 
 def rules_at(findings, path_suffix):
@@ -114,14 +118,11 @@ class TestDL102Streams:
     def _lint_snippet(source):
         import ast
 
-        from repro.analysis.deeplint.model import ModuleInfo, ProgramModel
-        from repro.analysis.deeplint.passes import RngStreamRule
-        from repro.analysis.simlint.core import FileContext
+        from repro.analysis.simlint.model import ProgramModel
+        from repro.analysis.simlint.passes import RngStreamRule
 
         model = ProgramModel()
-        ctx = FileContext(source, "pkg/streams.py")
-        info = ModuleInfo("pkg.streams", "pkg/streams.py", ctx)
-        model.modules[info.name] = info
+        model.add_source(source, "pkg/streams.py", name="pkg.streams")
         model.build_indexes()
         return [f for f in RngStreamRule().check(model, None)]
 
@@ -181,7 +182,7 @@ class TestDL103ScenarioLibrary:
         # contract stays unarmed there (asserted via zero findings in
         # TestCleanAndShippedTrees); the real tree documents
         # `repro.scenarios` and its 11 bundled files must stay clean.
-        findings = deep_lint_paths([SRC])
+        findings = lint_paths([SRC], rules=WHOLE_PROGRAM)
         assert not any("/library/" in f.path for f in findings)
 
 
@@ -210,12 +211,12 @@ class TestDL104Determinism:
 
 class TestCleanAndShippedTrees:
     def test_clean_fixture_has_zero_findings(self):
-        assert deep_lint_paths([CLEAN]) == []
+        assert lint_paths([CLEAN], rules=WHOLE_PROGRAM) == []
 
     def test_shipped_tree_is_deep_clean(self):
         # The acceptance bar: repo code satisfies its own contracts
         # with no baseline debt.
-        assert deep_lint_paths([SRC]) == []
+        assert lint_paths([SRC], rules=WHOLE_PROGRAM) == []
 
     def test_committed_baseline_is_empty(self):
         baseline = load_baseline(str(REPO / ".deeplint-baseline.json"))
@@ -224,8 +225,8 @@ class TestCleanAndShippedTrees:
     def test_missing_docs_raise(self, tmp_path):
         (tmp_path / "pkg").mkdir()
         (tmp_path / "pkg" / "mod.py").write_text("X = 1\n")
-        with pytest.raises(DeepLintError):
-            deep_lint_paths([tmp_path / "pkg"])
+        with pytest.raises(LintError):
+            lint_paths([tmp_path / "pkg"], rules=WHOLE_PROGRAM)
 
     def test_unparsable_file_reports_dl100(self, tmp_path):
         (tmp_path / "docs").mkdir()
@@ -234,30 +235,32 @@ class TestCleanAndShippedTrees:
         pkg = tmp_path / "pkg"
         pkg.mkdir()
         (pkg / "broken.py").write_text("def f(:\n")
-        findings = deep_lint_paths([pkg])
+        findings = lint_paths([pkg], rules=WHOLE_PROGRAM)
         assert [f.rule for f in findings] == ["DL100"]
 
 
 class TestDeterminism:
     def test_two_runs_identical_findings(self):
-        assert deep_lint_paths([DIRTY]) == deep_lint_paths([DIRTY])
+        assert (lint_paths([DIRTY], rules=WHOLE_PROGRAM)
+                == lint_paths([DIRTY], rules=WHOLE_PROGRAM))
 
     def test_sarif_byte_identical_across_runs(self):
-        docs = [render_sarif(deep_lint_paths([DIRTY]),
-                             full_rule_catalogue())
+        docs = [render_sarif(lint_paths([DIRTY], rules=WHOLE_PROGRAM),
+                             rule_catalogue())
                 for _ in range(2)]
         assert docs[0] == docs[1]
 
     def test_json_byte_identical_across_runs(self):
         from repro.analysis.simlint import render_json
 
-        docs = [render_json(deep_lint_paths([DIRTY])) for _ in range(2)]
+        docs = [render_json(lint_paths([DIRTY], rules=WHOLE_PROGRAM))
+                for _ in range(2)]
         assert docs[0] == docs[1]
 
 
 class TestSarif:
     def test_document_shape(self, dirty):
-        doc = json.loads(render_sarif(dirty, full_rule_catalogue()))
+        doc = json.loads(render_sarif(dirty, rule_catalogue()))
         assert doc["version"] == "2.1.0"
         assert doc["$schema"].endswith("sarif-2.1.0.json")
         (run,) = doc["runs"]
@@ -280,7 +283,7 @@ class TestSarif:
             assert result["partialFingerprints"]["reproDeeplint/v1"]
 
     def test_round_trip_is_stable(self, dirty):
-        rendered = render_sarif(dirty, full_rule_catalogue())
+        rendered = render_sarif(dirty, rule_catalogue())
         reparsed = json.loads(rendered)
         assert json.dumps(reparsed, sort_keys=True, indent=2) + "\n" == \
             rendered
@@ -288,7 +291,7 @@ class TestSarif:
     def test_baselined_results_marked_suppressed(self, dirty):
         target = dirty[0]
         doc = json.loads(render_sarif(
-            dirty, full_rule_catalogue(),
+            dirty, rule_catalogue(),
             frozenset({finding_fingerprint(target)})))
         flags = [("suppressions" in r) for r in doc["runs"][0]["results"]]
         assert flags.count(True) == 1
@@ -403,3 +406,51 @@ class TestCli:
         relaxed = _run_cli("--deep", "--baseline", str(baseline),
                            "src/repro")
         assert relaxed.returncode == 0
+
+    def test_baseline_paths_do_not_depend_on_cwd(self, tmp_path):
+        # Under --deep every finding, SL ones included, is reported
+        # relative to the contract root: a baseline written from the
+        # root with a relative path still matches when the tree is
+        # linted by absolute path from elsewhere.
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "OBSERVABILITY.md").write_text(
+            "### Tracepoint catalogue\n\n### Metric catalogue\n")
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "pkg" / "bad.py").write_text(
+            "def f(xs=[]):\n    return xs\n")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        first = _run_cli("--deep", "--write-baseline", "pkg",
+                         cwd=str(tmp_path))
+        assert first.returncode == 0, first.stdout + first.stderr
+        second = _run_cli("--deep", "--strict", str(tmp_path / "pkg"),
+                          cwd=str(elsewhere))
+        assert second.returncode == 0, second.stdout + second.stderr
+        assert "stale baseline entry" not in second.stderr
+
+    @pytest.mark.parametrize("flags", [
+        ["--baseline", "b.json"], ["--strict"], ["--write-baseline"]])
+    def test_baseline_flags_need_deep(self, flags, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", *flags, str(CLEAN)])
+        assert exc.value.code == 2
+        assert "need --deep" in capsys.readouterr().err
+
+    def test_each_file_parsed_once(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        parsed = []
+        real_parse = ast.parse
+
+        def spy(source, filename="<unknown>", *args, **kwargs):
+            parsed.append(filename)
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", spy)
+        main(["lint", "--deep", "--json", str(SRC)])
+        assert json.loads(capsys.readouterr().out)["count"] == 0
+        files = list(iter_python_files([SRC]))
+        assert len(parsed) == len(files)
+        assert len(set(parsed)) == len(files)

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import DEPRECATION_WARNED, ConfigurationError
 from repro.faults import FaultPlan, FaultSpec
 from repro.fleet import (
     FleetConfig,
@@ -95,9 +95,7 @@ class TestRunFleet:
     def test_run_fleet_legacy_positional_shim(self):
         """The pre-redesign ``run_fleet(n, ...) -> list`` spelling still
         works, warns once, and returns the engine's raw scan list."""
-        from repro.fleet import sampler
-
-        sampler._DEPRECATION_WARNED.discard("run_fleet-legacy")
+        DEPRECATION_WARNED.discard("run_fleet-legacy")
         with pytest.warns(DeprecationWarning, match="run_fleet_scans"):
             legacy = run_fleet(2, config=SMALL, base_seed=9, workers=1)
         assert legacy == run_fleet_scans(2, config=SMALL, base_seed=9,

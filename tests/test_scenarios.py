@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import DEPRECATION_WARNED, ConfigurationError
 from repro.experiments import (
     Axis,
     AxisValue,
@@ -185,9 +185,7 @@ class TestGridEngine:
     def test_dict_grid_equals_axes_spelling(self, grid):
         """The api_redesign invariant: legacy grid dicts and explicit
         axes compile to identical cells — ids, coords, overrides."""
-        from repro.experiments import spec as spec_mod
-
-        spec_mod._DEPRECATION_WARNED.add("ExperimentSpec.grid")
+        DEPRECATION_WARNED.add("ExperimentSpec.grid")
         defaults = {key: values[0] for key, values in grid.items()}
         legacy = ExperimentSpec(
             name="prop-grid", description="d", producer=lambda ctx: [],

@@ -14,8 +14,8 @@ import textwrap
 import pytest
 
 from repro.analysis.simlint import (
-    DEFAULT_RULES,
     DEPRECATED_APIS,
+    RULES,
     Finding,
     lint_paths,
     lint_source,
@@ -580,7 +580,7 @@ class TestEngine:
 
     def test_rule_catalogue_covers_default_rules(self):
         codes = [code for code, _, _ in rule_catalogue()]
-        assert codes == sorted(r.code for r in DEFAULT_RULES)
+        assert codes == [r.code for r in RULES]
 
     def test_lint_paths_walks_directories(self, tmp_path):
         pkg = tmp_path / "fleet"

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import DEPRECATION_WARNED, ConfigurationError
 from repro.telemetry import (
     TRACEPOINTS,
     CounterSet,
@@ -406,11 +406,10 @@ class TestFleetTelemetry:
         import warnings as _warnings
 
         from repro.fleet import FleetConfig, run_fleet
-        from repro.fleet import sampler as sampler_mod
 
         sample = run_fleet(FleetConfig(server=_small_config(), workers=1,
                                        **FLEET_KW))
-        sampler_mod._DEPRECATION_WARNED.clear()
+        DEPRECATION_WARNED.clear()
         try:
             with _warnings.catch_warnings(record=True) as caught:
                 _warnings.simplefilter("always")
@@ -425,7 +424,7 @@ class TestFleetTelemetry:
             assert "contiguity_values" in str(deprecations[0].message)
             assert "unmovable_values" in str(deprecations[1].message)
         finally:
-            sampler_mod._DEPRECATION_WARNED.clear()
+            DEPRECATION_WARNED.clear()
         assert legacy_c == sample.series("contiguity", "2MB")
         assert legacy_u == sample.series("unmovable", "2MB")
         with pytest.raises(ConfigurationError):
