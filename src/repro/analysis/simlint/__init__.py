@@ -29,6 +29,9 @@ SL009     no per-frame Python-object construction in ``mm`` hot
           boundary
 SL010     durable writes in ``checkpoint``/``experiments``/
           ``telemetry`` must stage to a tempfile and ``os.replace``
+SL011     no whole-memory ``<x>_mask()[...]`` in ``mm``/``core``/
+          ``kalloc`` — read one range through the ``PhysicalMemory``
+          range forms
 ========  ==========================================================
 
 The whole-program rules (``repro lint --deep``) diff the tree against

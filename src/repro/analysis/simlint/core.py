@@ -18,7 +18,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .catalogue import ApiDoc, Contracts, parse_api_doc, parse_observability
-from .model import ModuleInfo, ProgramModel
+from .model import LintError, ModuleInfo, ProgramModel
 
 #: Directory names never descended into when walking a tree.
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
@@ -40,10 +40,6 @@ class Finding:
     def to_dict(self) -> dict:
         return {"path": self.path, "line": self.line, "col": self.col,
                 "rule": self.rule, "message": self.message}
-
-
-class LintError(ValueError):
-    """The lint could not be configured (no docs contract found)."""
 
 
 class Rule:
@@ -187,7 +183,7 @@ def lint_paths(paths: Iterable, rules: Iterable | None = None,
     root = None
     if any(rule.whole_program for rule in rules):
         root = find_contract_root(paths, docs_dir)
-    model = ProgramModel()
+    model = ProgramModel(whole_program=root is not None)
     for path in iter_python_files(paths):
         model.add_file(path, display_path=root and _relative(path, root))
     contracts = None if root is None else _load_contracts(root, model)

@@ -293,13 +293,27 @@ def loop_iterables(nodes) -> list[ast.AST]:
     return out
 
 
-class ProgramModel:
-    """Every module of one lint run, each parsed once."""
+class LintError(ValueError):
+    """The lint could not be configured (no docs contract found, or two
+    files of a whole-program run share a module name)."""
 
-    def __init__(self) -> None:
+
+class ProgramModel:
+    """Every module of one lint run, each parsed once.
+
+    Args:
+        whole_program: the model feeds the whole-program passes, which
+            resolve names through :attr:`modules`; two files with the
+            same dotted module name then raise :class:`LintError`
+            instead of one silently shadowing the other.
+    """
+
+    def __init__(self, whole_program: bool = False) -> None:
+        self.whole_program = whole_program
         #: every parsed file, in the order it was added
         self.files: list[ModuleInfo] = []
-        #: the same modules by dotted name (a later file shadows an
+        #: the same modules by dotted name (outside a whole-program run,
+        #: where nothing resolves through it, a later file shadows an
         #: earlier one of the same name)
         self.modules: dict[str, ModuleInfo] = {}
         self.call_sites: list[CallSite] = []
@@ -333,6 +347,12 @@ class ProgramModel:
         except SyntaxError as exc:
             self.parse_errors[str(path)] = exc
             return
+        clash = self.modules.get(info.name)
+        if clash is not None and self.whole_program:
+            raise LintError(
+                f"{clash.path} and {info.path} are both module "
+                f"{info.name!r}; the whole-program passes need one file "
+                f"per module name (lint the trees separately)")
         self.files.append(info)
         self.modules[info.name] = info
 

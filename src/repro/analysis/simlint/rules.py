@@ -1,4 +1,4 @@
-"""The simlint rule catalogue: the per-module rules (SL000–SL010) and
+"""The simlint rule catalogue: the per-module rules (SL000–SL011) and
 the one rule tuple.
 
 Each per-module rule is a small class with a ``check_module(info)``
@@ -528,6 +528,46 @@ class AtomicDurableWriteRule(Rule):
                 "os.replace (see experiments.cache / checkpoint.format)")
 
 
+#: Subsystems whose hot paths test one pageblock or candidate range of
+#: physical memory (SL011).
+RANGE_READ_SUBSYSTEMS = ("mm", "core", "kalloc")
+
+
+class WholeMemoryMaskSliceRule(Rule):
+    """SL011: no whole-memory mask built to read one range.
+
+    ``mem.allocated_mask()[start:end]`` builds a boolean array over
+    every frame of the machine (262,144 on 1 GiB) and throws all but a
+    pageblock of it away; in a per-block loop or a per-candidate scan
+    that turns a range test into a whole-memory pass.  Read the range
+    form instead (``PhysicalMemory.range_allocated_frames``,
+    ``range_unmovable_frames``, ``range_poisoned``).  The rule flags any
+    subscript of a ``<x>_mask()`` call in ``mm``/``core``/``kalloc``.
+    """
+
+    code = "SL011"
+    title = "no whole-memory mask built to read one range"
+
+    def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
+        if (not info.in_subsystem(*RANGE_READ_SUBSYSTEMS)
+                or info.is_test_file()):
+            return
+        for node in info.nodes(ast.Subscript):
+            call = node.value
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            method = (func.attr if isinstance(func, ast.Attribute)
+                      else getattr(func, "id", ""))
+            if method.endswith("_mask"):
+                yield self.finding(
+                    info, node,
+                    f"{method}()[...] builds a mask over all of memory "
+                    f"to read one range; use the PhysicalMemory range "
+                    f"form (range_allocated_frames, "
+                    f"range_unmovable_frames, range_poisoned)")
+
+
 #: Every shipped rule, in code order: the per-module rules, then the
 #: whole-program ones.
 RULES = (
@@ -542,6 +582,7 @@ RULES = (
     BoundedRetryRule(),
     PerFrameObjectRule(),
     AtomicDurableWriteRule(),
+    WholeMemoryMaskSliceRule(),
     ParseFailureRule(),
     TelemetryContractRule(),
     RngStreamRule(),

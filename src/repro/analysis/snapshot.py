@@ -67,11 +67,10 @@ class MemorySnapshot:
         return (self.flags & (1 << PageFlag.PINNED)) != 0
 
     def unmovable_mask(self) -> np.ndarray:
-        from ..mm.page import AllocSource
+        from ..mm.page import PageFlag, sw_movable
 
-        allocated = self.allocated_mask()
-        kernel = self.source != int(AllocSource.USER)
-        return allocated & (kernel | self.pinned_mask())
+        return self.allocated_mask() & ~sw_movable(
+            self.flags & (1 << PageFlag.PINNED), self.source)
 
     def free_frames(self) -> int:
         return int(self.nframes - np.count_nonzero(self.allocated_mask()))

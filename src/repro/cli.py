@@ -488,9 +488,9 @@ def _cmd_lint(args) -> None:
                 title="simlint rule catalogue (docs/ANALYSIS.md)"))
         return
     if not args.deep and (args.baseline or args.strict
-                          or args.write_baseline):
-        args.usage_error("--baseline, --strict and --write-baseline "
-                         "need --deep")
+                          or args.write_baseline or args.docs):
+        args.usage_error("--baseline, --strict, --write-baseline and "
+                         "--docs need --deep")
     # Default target: the installed repro package itself, so `repro lint`
     # works from any working directory.
     paths = args.paths or [os.path.dirname(os.path.abspath(__file__))]
@@ -1216,7 +1216,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="with --deep: suppress every current finding "
                            "into the baseline file and exit")
     lint.add_argument("--docs", metavar="DIR",
-                      help="directory holding OBSERVABILITY.md/API.md "
+                      help="with --deep: directory holding "
+                           "OBSERVABILITY.md/API.md "
                            "(default: discovered by walking up from the "
                            "linted paths)")
     lint.set_defaults(fn=_cmd_lint, usage_error=lint.error)

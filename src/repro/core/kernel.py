@@ -362,8 +362,7 @@ class ContiguitasKernel(LinuxKernel):
         block = self.layout.boundary_block
         start = block * PAGEBLOCK_FRAMES
         end = start + PAGEBLOCK_FRAMES
-        occupied = bool(self.mem.allocated_mask()[start:end].any())
-        if occupied:
+        if self.mem.range_allocated_frames(start, PAGEBLOCK_FRAMES):
             if not self.config.hw_enabled:
                 return False
             result = self.evacuator.evacuate(
@@ -432,7 +431,7 @@ class ContiguitasKernel(LinuxKernel):
                            self.mem.npageblocks):
             start = block * PAGEBLOCK_FRAMES
             end = start + PAGEBLOCK_FRAMES
-            used = int(self.mem.allocated_mask()[start:end].sum())
+            used = self.mem.range_allocated_frames(start, PAGEBLOCK_FRAMES)
             if 0 < used <= PAGEBLOCK_FRAMES // 2:
                 result = self.evacuator.evacuate(
                     self.unmovable, self.handles, start, end,
@@ -446,7 +445,4 @@ class ContiguitasKernel(LinuxKernel):
     def confinement_violations(self) -> int:
         """Frames of unmovable memory sitting inside the movable region
         (should be zero; pin-in-place fallbacks would show up here)."""
-        import numpy as np
-
-        boundary = self.layout.boundary_pfn
-        return int(np.count_nonzero(self.mem.unmovable_mask()[:boundary]))
+        return self.mem.range_unmovable_frames(0, self.layout.boundary_pfn)

@@ -34,9 +34,10 @@ SERIES_METRICS = ("contiguity", "unmovable")
 
 
 def _warn_deprecated_once(name: str, replacement: str) -> None:
+    # Frames from warn_once: this helper, the accessor, its caller.
     warn_once(name,
               f"FleetSample.{name}() is deprecated; use {replacement}",
-              stacklevel=3)
+              stacklevel=4)
 
 
 @dataclass

@@ -164,7 +164,7 @@ class BuddyAllocator:
                 f"[{self.start_block},{self.end_block})"
             )
         pfn = block * PAGEBLOCK_FRAMES
-        if self.mem.allocated_mask()[pfn:pfn + PAGEBLOCK_FRAMES].any():
+        if self.mem.range_allocated_frames(pfn, PAGEBLOCK_FRAMES):
             raise ConfigurationError(f"adopting non-free block {block}")
         self.pageblocks.set_block(block, mt)
         self._insert_free(pfn, MAX_ORDER, mt)

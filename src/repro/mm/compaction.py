@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..telemetry import tracepoint
-from ..units import MAX_ORDER
+from ..units import MAX_ORDER, PAGEBLOCK_FRAMES
 from . import vmstat as ev
 from .buddy import BuddyAllocator
 from .handle import HandleRegistry
 from ..errors import MigrationError
-from .migrate import MigrationCostModel, can_migrate_sw, migrate_with_retry
+from .migrate import MigrationCostModel, migrate_with_retry
 from .physmem import PhysicalMemory
 
 _tp_start = tracepoint("mm.compact.start")
@@ -81,11 +81,11 @@ class Compactor:
     stat: object
     cost: MigrationCostModel = field(default_factory=MigrationCostModel)
     victim_cores: int = 7
-    #: Lowest order at which the free scanner has failed in the current
-    #: :meth:`compact` run (``MAX_ORDER + 1``: none); see
-    #: :meth:`_take_free_above`.
-    _failed_order: int = field(default=MAX_ORDER + 1, init=False,
-                               repr=False, compare=False)
+    #: The free scanner's cursor: ``_top[k]`` is an exclusive upper
+    #: bound on the free heads of order >= k above the migration scanner
+    #: in the current :meth:`compact` run; see :meth:`_take_free_above`.
+    _top: list[int] = field(default_factory=list, init=False, repr=False,
+                            compare=False)
 
     def compact(
         self,
@@ -105,7 +105,8 @@ class Compactor:
             _tp_start.emit(target_order=target_order, label=allocator.label)
         result = CompactionResult()
         mem = self.mem
-        self._failed_order = MAX_ORDER + 1
+        alloc_order = mem.alloc_order_mv
+        self._reset_cursor(allocator)
 
         # The free scanner's lowest capture so far; the migration scanner
         # stops when it reaches it (the two scanners "meet", as in Linux).
@@ -138,37 +139,38 @@ class Compactor:
                     result.satisfied = (
                         allocator.largest_free_order() >= target_order)
                     return self._finish(result)
-                info = mem.allocation_info(src)
-                if not can_migrate_sw(info):
-                    result.pages_skipped_unmovable += info.nframes
+                order = alloc_order[src]
+                nframes = 1 << order
+                if not mem.sw_movable(src):
+                    result.pages_skipped_unmovable += nframes
                     continue
-                dst = self._take_free_above(allocator, info.order, src)
+                dst = self._take_free_above(allocator, order, src)
                 if dst is None:
                     continue
-                free_scan_floor = min(free_scan_floor,
-                                      self.mem.pageblock_of(dst))
+                free_scan_floor = min(free_scan_floor, mem.pageblock_of(dst))
                 try:
                     migrate_with_retry(mem, src, dst, stat=self.stat)
                 except MigrationError:
                     # Transient pin/busy persisted across the retry
                     # budget: return the captured destination and leave
                     # the page for the next run.
-                    allocator.free_block(dst, info.order)
+                    allocator.free_block(dst, order)
                     # Conservative: the give-back re-merges the captured
-                    # block, so forget failures rather than reason on.
-                    self._failed_order = MAX_ORDER + 1
-                    result.pages_failed_transient += info.nframes
-                    self.stat.inc(ev.COMPACT_FAIL, info.nframes)
+                    # block, so start the cursor over rather than reason
+                    # on.
+                    self._reset_cursor(allocator)
+                    result.pages_failed_transient += nframes
+                    self.stat.inc(ev.COMPACT_FAIL, nframes)
                     continue
-                allocator.free_block(src, info.order)
+                allocator.free_block(src, order)
                 handles.relocate(src, dst)
-                result.pages_migrated += info.nframes
+                result.pages_migrated += nframes
                 result.downtime_cycles += self.cost.downtime_cycles(
-                    self.victim_cores, info.nframes)
-                self.stat.inc(ev.COMPACT_MIGRATED, info.nframes)
+                    self.victim_cores, nframes)
+                self.stat.inc(ev.COMPACT_MIGRATED, nframes)
                 self.stat.inc(ev.TLB_SHOOTDOWNS)
                 if _tp_migrate.enabled:
-                    _tp_migrate.emit(src=src, dst=dst, frames=info.nframes)
+                    _tp_migrate.emit(src=src, dst=dst, frames=nframes)
 
         result.satisfied = allocator.largest_free_order() >= target_order
         return self._finish(result)
@@ -179,36 +181,67 @@ class Compactor:
             _tp_finish.emit(**result.snapshot())
         return result
 
+    def _reset_cursor(self, allocator: BuddyAllocator) -> None:
+        self._top = [allocator.end_pfn] * (MAX_ORDER + 1)
+
+    def _lower_cursor(self, order: int, bound: int) -> None:
+        """Lower ``_top[k]`` to at most *bound* for every k >= *order*
+        (the cursor never increases with k, so stop at the first entry
+        already at or below it)."""
+        top = self._top
+        for k in range(order, MAX_ORDER + 1):
+            if top[k] <= bound:
+                break
+            top[k] = bound
+
     def _take_free_above(
         self, allocator: BuddyAllocator, order: int, above_pfn: int,
     ) -> int | None:
         """Capture a free sub-block of exactly *order* whose head PFN is the
         highest available strictly above *above_pfn* (the free scanner).
 
-        Single vectorised pass over the packed ``free_order`` array in
-        place of peeking every (order, migratetype) list: the winner is
-        the highest head at *any* qualifying order, which is exactly
-        what the per-list peeks computed.
+        The winner is the highest free head of *any* order >= *order*,
+        which is exactly what peeking every (order, migratetype) list
+        would compute.  Like Linux's ``cc->free_pfn``, the scanner keeps
+        its position instead of rescanning: the search walks down from
+        ``_top[order]`` one pageblock-sized chunk of the packed
+        ``free_order`` array at a time and stops at the first chunk that
+        holds a qualifying head, so its cost follows the pages moved,
+        not the size of memory.
 
-        Failures are remembered for the rest of the :meth:`compact` run.
-        A failed search at order k proves no free head of order >= k
-        lies above *above_pfn*, and that stays true: the migration
-        scanner only moves upward, so every later range is a suffix of
-        this one; freeing a migrated source merges into a head at or
-        below it, under every later range; and a later capture can only
-        split a block of order < k, leaving remainders below k.  The
-        MigrationError give-back in :meth:`compact` re-merges a captured
-        block; it forgets the memo rather than rely on the merge.
+        Invariant, for every k: no free head of order >= k lies at or
+        above ``_top[k]`` and above the migration scanner.  It holds
+        because each change of the free state keeps it:
+
+        * a capture of the block of order j at head h lowers ``_top[k']``
+          to h + 2**j for every k' >= *order*: the search saw nothing
+          qualifying between that block and ``_top[order]``, and the
+          split remainders stay inside the block.  Entries below
+          *order* already lie at or above the block's end, because a
+          bound is only ever a block end or a failed search's floor,
+          and neither falls strictly inside a block that is free later;
+        * a failed search lowers ``_top[k']`` to its floor for every
+          k' >= *order*;
+        * freeing a migrated source merges into a head at or below the
+          source, and the migration scanner only moves upward, so every
+          later search starts above it;
+        * the MigrationError give-back in :meth:`compact` re-merges a
+          captured block; it resets the cursor rather than rely on the
+          merge restoring the block as it was.
         """
-        if order >= self._failed_order:
-            return None
         lo = max(above_pfn + 1, allocator.start_pfn)
-        hi = allocator.end_pfn
-        if lo >= hi:
-            return None
-        cand = np.flatnonzero(allocator.mem.free_order[lo:hi] >= order)
-        if cand.size == 0:
-            self._failed_order = order
-            return None
-        # Capture and split; the remainder returns to the free lists.
-        return allocator.take_free_split(int(cand[-1]) + lo, order)
+        hi = self._top[order]
+        free_order = allocator.mem.free_order
+        while hi > lo:
+            chunk = max(lo, hi - PAGEBLOCK_FRAMES)
+            cand = np.flatnonzero(free_order[chunk:hi] >= order)
+            if cand.size:
+                head = chunk + int(cand[-1])
+                self._lower_cursor(
+                    order, head + (1 << int(free_order[head])))
+                # Capture and split; the remainder returns to the free
+                # lists.
+                return allocator.take_free_split(head, order)
+            hi = chunk
+        self._lower_cursor(order, lo)
+        return None

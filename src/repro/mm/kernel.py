@@ -420,7 +420,7 @@ class LinuxKernel:
             start = allocator.start_pfn + self._scan_rng.randrange(
                 ncands) * size
             end = start + size
-            if self.mem.unmovable_mask()[start:end].any():
+            if self.mem.range_unmovable_frames(start, size):
                 continue
             heads = (np.flatnonzero(self.mem.alloc_order[start:end] >= 0)
                      + start).tolist()

@@ -19,7 +19,12 @@ from dataclasses import dataclass
 from ..errors import MigrationError
 from ..faults import fault_site
 from . import vmstat as ev
-from .page import AllocationInfo, DEVICE_VISIBLE_SOURCES, PageFlag
+from .page import (
+    AllocationInfo,
+    DEVICE_VISIBLE_SOURCES,
+    PageFlag,
+    sw_movable,
+)
 from .physmem import PhysicalMemory
 from .vmstat import VmStat
 
@@ -38,15 +43,11 @@ MIGRATE_MAX_ATTEMPTS = 3
 
 
 def can_migrate_sw(info: AllocationInfo) -> bool:
-    """Whether software alone may relocate this allocation.
-
-    Pinned pages and device-visible I/O buffers (networking) cannot be
-    blocked for a copy, so software must skip them; other kernel sources
-    (slab, page tables) are unmovable in practice because in-kernel pointers
-    reference them by physical/linear address (paper §2.1).  Only plain user
-    memory is software-movable.
-    """
-    return not info.unmovable
+    """Whether software alone may relocate this allocation: the
+    :func:`~repro.mm.page.sw_movable` predicate applied to *info*
+    (:meth:`PhysicalMemory.sw_movable` reads the same predicate straight
+    from the packed columns)."""
+    return sw_movable(info.pinned, info.source)
 
 
 @dataclass(frozen=True)

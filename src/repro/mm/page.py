@@ -62,6 +62,23 @@ class AllocSource(IntEnum):
 #: move them (paper §3.3).
 DEVICE_VISIBLE_SOURCES = frozenset({AllocSource.NETWORKING})
 
+_USER = int(AllocSource.USER)
+
+
+def sw_movable(pinned, source):
+    """Whether software alone may relocate an allocation, from its packed
+    pinned bit and source value: the one definition every movability
+    check reads.  Scalars give a bool; packed numpy columns give the
+    per-frame boolean array.
+
+    Pinned pages and device-visible I/O buffers (networking) cannot be
+    blocked for a copy; other kernel sources (slab, page tables) are
+    unmovable in practice because in-kernel pointers reference them by
+    physical/linear address (paper §2.1).  Only plain, unpinned user
+    memory is software-movable.
+    """
+    return (pinned == 0) & (source == _USER)
+
 
 class PageFlag(IntEnum):
     """Bit positions in the per-frame flags array."""
@@ -108,4 +125,4 @@ class AllocationInfo:
     @property
     def unmovable(self) -> bool:
         """True if software alone cannot relocate this allocation."""
-        return self.pinned or self.source.unmovable
+        return not sw_movable(self.pinned, self.source)

@@ -20,13 +20,24 @@ from ..errors import (
 )
 from ..units import FRAME_SIZE, PAGEBLOCK_FRAMES, bytes_to_frames
 from .freelist import FreelistStore
-from .page import AllocationInfo, AllocSource, MigrateType, PageFlag
+from .page import (
+    AllocationInfo,
+    AllocSource,
+    MigrateType,
+    PageFlag,
+    sw_movable,
+)
 
 _F_ALLOCATED = 1 << PageFlag.ALLOCATED
 _F_HEAD = 1 << PageFlag.HEAD
 _F_PINNED = 1 << PageFlag.PINNED
 _F_MIGRATING = 1 << PageFlag.UNDER_MIGRATION
 _F_POISON = 1 << PageFlag.HW_POISON
+
+# Packed value -> enum member, so a scalar read maps to its enum by
+# indexing instead of an ``Enum(value)`` call.
+_MIGRATETYPES = tuple(MigrateType(v) for v in range(len(MigrateType)))
+_SOURCES = tuple(AllocSource(v) for v in range(len(AllocSource)))
 
 
 class PhysicalMemory:
@@ -305,20 +316,48 @@ class PhysicalMemory:
         """Whether any frame in ``[pfn, pfn + nframes)`` is poisoned."""
         return bool((self.flags[pfn:pfn + nframes] & _F_POISON).any())
 
+    def range_allocated_frames(self, pfn: int, nframes: int) -> int:
+        """Frames in ``[pfn, pfn + nframes)`` that belong to a live
+        allocation: :meth:`allocated_mask` read over one range only."""
+        return int(np.count_nonzero(
+            self.flags[pfn:pfn + nframes] & _F_ALLOCATED))
+
+    def range_unmovable_frames(self, pfn: int, nframes: int) -> int:
+        """Frames in ``[pfn, pfn + nframes)`` that software cannot move:
+        :meth:`unmovable_mask` read over one range only."""
+        end = pfn + nframes
+        return int(np.count_nonzero(
+            self._unmovable(self.flags[pfn:end], self.source[pfn:end])))
+
+    def sw_movable(self, head: int) -> bool:
+        """Whether software alone may relocate the allocation headed at
+        *head*: the packed-column form of
+        :func:`~repro.mm.page.sw_movable`, read without building an
+        :class:`AllocationInfo`."""
+        return sw_movable(self.flags_mv[head] & _F_PINNED,
+                          self.source_mv[head])
+
     def allocation_info(self, pfn: int) -> AllocationInfo:
         """Describe the allocation owning frame *pfn* (head or member)."""
-        if not self.is_allocated(pfn):
+        flags = self.flags_mv
+        if not flags[pfn] & _F_ALLOCATED:
             raise SimInvariantError(f"pfn {pfn} is free, not an allocation")
-        head = int(self.head_of[pfn])
+        head = self.head_of_mv[pfn]
+        head_flags = flags[head]
         return AllocationInfo(
             pfn=head,
-            order=int(self.alloc_order[head]),
-            migratetype=MigrateType(int(self.migratetype[head])),
-            source=AllocSource(int(self.source[head])),
-            pinned=self.is_pinned(head),
-            birth=int(self.birth[head]),
-            poisoned=bool(self.flags_mv[head] & _F_POISON),
+            order=self.alloc_order_mv[head],
+            migratetype=_MIGRATETYPES[self.migratetype_mv[head]],
+            source=_SOURCES[self.source_mv[head]],
+            pinned=bool(head_flags & _F_PINNED),
+            birth=self.birth_mv[head],
+            poisoned=bool(head_flags & _F_POISON),
         )
+
+    @staticmethod
+    def _unmovable(flags: np.ndarray, source: np.ndarray) -> np.ndarray:
+        return ((flags & _F_ALLOCATED) != 0) & ~sw_movable(
+            flags & _F_PINNED, source)
 
     def allocated_mask(self) -> np.ndarray:
         """Boolean array: True where the frame belongs to a live allocation."""
@@ -342,9 +381,7 @@ class PhysicalMemory:
         A frame is unmovable when it is allocated and either pinned or owned
         by a kernel (non-USER) source.
         """
-        allocated = self.allocated_mask()
-        kernel = self.source != int(AllocSource.USER)
-        return allocated & (kernel | self.pinned_mask())
+        return self._unmovable(self.flags, self.source)
 
     def free_frames(self) -> int:
         """Number of frames not belonging to any allocation."""

@@ -192,6 +192,7 @@ class TestExportSnapshots:
             "SL008",
             "SL009",
             "SL010",
+            "SL011",
             "DL100",
             "DL101",
             "DL102",

@@ -299,3 +299,42 @@ def test_failed_order_memo_matches_unmemoised_scanner(seed, make, plan):
     np.testing.assert_array_equal(memo.mem.alloc_order, ref.mem.alloc_order)
     for allocator in memo.allocators():
         allocator.check_consistency()
+
+
+class CursorCheckedCompactor(Compactor):
+    """The shipped free scanner, checking the cursor invariant after
+    every search: no free head of order >= k lies at or above ``_top[k]``
+    and above the migration scanner.  Heads at or below the scanner are
+    out of every later search's range (freed sources merge there)."""
+
+    checks = 0
+
+    def _take_free_above(self, allocator, order, above_pfn):
+        dst = super()._take_free_above(allocator, order, above_pfn)
+        top = self._top
+        assert top == sorted(top, reverse=True)
+        free_order = allocator.mem.free_order
+        for k, bound in enumerate(top):
+            lo = max(bound, above_pfn + 1)
+            stray = np.flatnonzero(free_order[lo:allocator.end_pfn] >= k)
+            assert stray.size == 0, (k, bound, above_pfn, stray[:4] + lo)
+        type(self).checks += 1
+        return dst
+
+
+@pytest.mark.parametrize("plan", [None, NAMED_PLANS["flaky-migrate"],
+                                  STUBBORN_MIGRATE],
+                         ids=["clean", "flaky-migrate", "stubborn-migrate"])
+@pytest.mark.parametrize("make", [make_linux, make_contiguitas],
+                         ids=["linux", "contiguitas"])
+@pytest.mark.parametrize("seed", range(3))
+def test_free_scanner_cursor_invariant(seed, make, plan):
+    """After every free-scanner search, the cursor bounds the free heads
+    above the migration scanner at every order, through the give-back
+    path's reset too."""
+    kernel = fragmented_kernel(make, seed)
+    CursorCheckedCompactor.checks = 0
+    results, _ = compact_everything(kernel, CursorCheckedCompactor, plan,
+                                    seed)
+    assert CursorCheckedCompactor.checks > 0
+    assert sum(r["pages_migrated"] for r in results) > 0

@@ -228,6 +228,19 @@ class TestCleanAndShippedTrees:
         with pytest.raises(LintError):
             lint_paths([tmp_path / "pkg"], rules=WHOLE_PROGRAM)
 
+    def test_same_module_name_twice_raises(self):
+        # Both fixture packages are module 'pkg': a whole-program run
+        # would resolve names through whichever came last.
+        with pytest.raises(LintError) as exc:
+            lint_paths([DIRTY, CLEAN], rules=WHOLE_PROGRAM)
+        message = str(exc.value)
+        assert "module 'pkg'" in message
+        assert "pkg/__init__.py and ../clean/pkg/__init__.py" in message
+
+    def test_same_module_name_allowed_per_module(self):
+        # Per-module rules never resolve across files.
+        assert lint_paths([DIRTY, CLEAN]) == lint_paths([DIRTY])
+
     def test_unparsable_file_reports_dl100(self, tmp_path):
         (tmp_path / "docs").mkdir()
         (tmp_path / "docs" / "OBSERVABILITY.md").write_text(
@@ -429,7 +442,8 @@ class TestCli:
         assert "stale baseline entry" not in second.stderr
 
     @pytest.mark.parametrize("flags", [
-        ["--baseline", "b.json"], ["--strict"], ["--write-baseline"]])
+        ["--baseline", "b.json"], ["--strict"], ["--write-baseline"],
+        ["--docs", "docs"]])
     def test_baseline_flags_need_deep(self, flags, capsys):
         from repro.cli import main
 

@@ -505,6 +505,60 @@ class TestAtomicDurableWriteSL010:
             self.BARE_WRITE, "tests/test_fixture.py")
 
 
+CORE_PATH = "src/repro/core/fixture.py"
+KALLOC_PATH = "src/repro/kalloc/fixture.py"
+
+
+class TestWholeMemoryMaskSL011:
+    SLICED = """
+        def occupied(mem, start, end):
+            return mem.allocated_mask()[start:end].any()
+    """
+
+    def test_flags_mask_slice_in_range_read_subsystems(self):
+        for path in (MM_PATH, CORE_PATH, KALLOC_PATH):
+            found = findings_for(self.SLICED, path)
+            assert [f.rule for f in found] == ["SL011"], path
+            assert "allocated_mask()" in found[0].message
+            assert "range_allocated_frames" in found[0].message
+
+    def test_flags_any_mask_and_any_subscript(self):
+        src = """
+            def checks(self, pfn, boundary):
+                a = self.mem.unmovable_mask()[:boundary]
+                b = self.mem.poisoned_mask()[pfn]
+                return a, b
+        """
+        found = findings_for(src, CORE_PATH)
+        assert [f.rule for f in found] == ["SL011", "SL011"]
+
+    def test_whole_memory_use_and_range_forms_clean(self):
+        src = """
+            import numpy as np
+
+            def stats(mem, start):
+                unmovable = mem.unmovable_mask()
+                per_block = mem.allocated_mask().reshape(-1, 512)
+                used = mem.range_allocated_frames(start, 512)
+                return unmovable[start:start + 512], per_block, used
+        """
+        assert "SL011" not in rules_of(src, MM_PATH)
+
+    def test_outside_scoped_subsystems_clean(self):
+        assert "SL011" not in rules_of(self.SLICED, NEUTRAL_PATH)
+        assert "SL011" not in rules_of(self.SLICED, FLEET_PATH)
+
+    def test_test_files_exempt(self):
+        assert "SL011" not in rules_of(self.SLICED, "tests/mm/test_fixture.py")
+
+    def test_disable_comment_honoured(self):
+        src = """
+            def occupied(mem, start, end):
+                return mem.allocated_mask()[start:end]  # simlint: disable=SL011
+        """
+        assert "SL011" not in rules_of(src, MM_PATH)
+
+
 class TestSuppression:
     VIOLATION = """
         def merge(order):

@@ -423,6 +423,8 @@ class TestFleetTelemetry:
             assert len(deprecations) == 2
             assert "contiguity_values" in str(deprecations[0].message)
             assert "unmovable_values" in str(deprecations[1].message)
+            # Each warning names the calling line, not the shim.
+            assert [w.filename for w in deprecations] == [__file__] * 2
         finally:
             DEPRECATION_WARNED.clear()
         assert legacy_c == sample.series("contiguity", "2MB")
